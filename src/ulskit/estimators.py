@@ -288,10 +288,10 @@ def default_step_size(f: LossFn, model: PretrainedModel, sub: Dataset) -> float:
     The retain term's curvature is bounded by 2 Nr Lmax(sigma_sub) for the
     squared loss and by Nr Lmax(sigma_sub) / 4 for the logistic loss; the
     returned step keeps the iteration map a strict contraction either way.
-    Lmax is estimated with 50 power-iteration steps.
+    Lmax is computed exactly from the symmetric eigenvalues of sigma_sub.
     """
     st = compute_stats(sub)
-    lam_max = max_eigenvalue(st.sigma, steps=50)
+    lam_max = max_eigenvalue(st.sigma)
     if lam_max <= 0.0:
         raise SingularGram("subsample Gram matrix has no positive spectrum")
     if f.loss_id == "squared":

@@ -59,6 +59,8 @@ class InferenceReport:
     method: str
 
     def __post_init__(self):
+        if not np.isfinite(self.variance):
+            raise SingularGram(f"interval variance is not finite ({self.variance})")
         if not self.ci_lo <= self.point <= self.ci_hi:
             raise ValueError("interval must contain the point estimate")
 

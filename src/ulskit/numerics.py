@@ -101,18 +101,9 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
     return toeplitz(rho ** np.arange(p, dtype=np.float64))
 
 
-def max_eigenvalue(a: np.ndarray, steps: int = 50) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    n = a.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(steps):
-        w = a @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam
+def max_eigenvalue(a: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix."""
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 class RngStream:
@@ -135,6 +126,10 @@ class RngStream:
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
+
+    def chisquare(self, df) -> np.ndarray:
+        """Chi-square draws; ``df`` may be an array of degrees of freedom."""
+        return self._gen.chisquare(df)
 
     def uniform(self, shape) -> np.ndarray:
         return self._gen.random(shape)
@@ -160,3 +155,18 @@ def sample_gaussian(rng: RngStream, mean, cov_factor: SpdFactor, n: int) -> np.n
         )
     z = rng.standard_normal((n, cov_factor.dim))
     return z @ cov_factor.lower.T + mu
+
+
+def bartlett_factor(rng: RngStream, df: int, p: int) -> SpdFactor:
+    """Lower-triangular A with A @ A.T ~ Wishart(df, I_p), for df >= p.
+
+    Bartlett decomposition: sqrt(chi2(df - i)) on the diagonal (i = 0..p-1)
+    and independent N(0, 1) below it. A is the Cholesky factor of the draw,
+    so the p x p statistics of df iid N(0, I_p) rows cost O(p^2) normals.
+    """
+    if df < p:
+        raise ValueError(f"Bartlett draw needs df >= p, got df={df}, p={p}")
+    lower = np.zeros((p, p))
+    lower[np.diag_indices(p)] = np.sqrt(rng.chisquare(df - np.arange(p)))
+    lower[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    return SpdFactor(lower=lower)

@@ -5,6 +5,15 @@ from N(0, AR(rho)) with entries rho**|j-k|, unit-variance Gaussian noise on
 both responses, and shifts the forget coefficients by delta along the
 normalized all-ones direction so that ||theta_f - theta_r|| = delta exactly.
 
+A replication needs the remaining set only through its statistics X_r'X_r
+and X_r'y_r, plus a uniform subsample of its rows. Since a uniform subsample
+of iid rows is itself iid, :func:`draw_rep_stats` draws the n_sub subsample
+rows and the forget rows explicitly and the other n_r - n_sub remaining rows
+only through their Gram matrix (a Wishart draw by the Bartlett
+decomposition) and cross-moment. That is exact in distribution and costs
+O(n_sub p + p^2) normals instead of O(n_r p). :func:`generate_rep` still
+draws every remaining row, for checks that need them.
+
 Every replication owns child random streams keyed by its index, so results
 are bit-identical regardless of worker count, and the truth vector is drawn
 once per experiment unless per-rep redraws are requested.
@@ -40,7 +49,13 @@ from .estimators import (
 )
 from .inference import ci_ols, ci_uls
 from .loss import SQUARED
-from .numerics import RngStream, ar1_covariance, cholesky, sample_gaussian
+from .numerics import (
+    RngStream,
+    ar1_covariance,
+    bartlett_factor,
+    cholesky,
+    sample_gaussian,
+)
 from .tuning import CvSpec, cv_select, log_grid
 
 METHODS = ("retrain", "pretrain", "ols", "uls", "uls+", "graddiff", "tl", "gd")
@@ -139,17 +154,57 @@ def draw_truth(cfg: SimConfig, rng: RngStream):
     return theta_r, theta_f
 
 
-def generate_rep(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
-    """One replication's (remaining, forget, subsample) datasets."""
-    x_r = rng.standard_normal((cfg.n_r, cfg.p))
-    y_r = x_r @ theta_r + rng.standard_normal(cfg.n_r)
-    remaining = Dataset(x_r, y_r, "remaining")
+def _with_response(x, theta, rng: RngStream, role: str) -> Dataset:
+    """Rows x with responses x @ theta plus unit-variance Gaussian noise."""
+    return Dataset(x, x @ theta + rng.standard_normal(x.shape[0]), role)
+
+
+def _draw_forget(cfg: SimConfig, theta_f, rng: RngStream) -> Dataset:
     ar_factor = cholesky(ar1_covariance(cfg.p, cfg.rho_f))
     x_f = sample_gaussian(rng, np.zeros(cfg.p), ar_factor, cfg.n_f)
-    y_f = x_f @ theta_f + rng.standard_normal(cfg.n_f)
-    forget = Dataset(x_f, y_f, "forget")
+    return _with_response(x_f, theta_f, rng, "forget")
+
+
+def generate_rep(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
+    """One replication's (remaining, forget, subsample) datasets, row by row."""
+    x_r = rng.standard_normal((cfg.n_r, cfg.p))
+    remaining = _with_response(x_r, theta_r, rng, "remaining")
+    forget = _draw_forget(cfg, theta_f, rng)
     sub = subsample(remaining, cfg.n_sub, rng)
     return remaining, forget, sub
+
+
+def draw_rep_stats(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
+    """One replication as (st_r, st_sub, forget, sub).
+
+    Equal in law to :func:`generate_rep` followed by ``compute_stats``. The
+    subsample rows and forget rows are drawn explicitly. The other
+    df = n_r - n_sub remaining rows enter only through X'X ~ Wishart(df, I)
+    (a Bartlett factor A, X'X = A A') and X'eps | X'X ~ N(0, X'X), drawn as
+    A z; with df < p the Bartlett draw is undefined and the df rows are
+    drawn instead.
+    """
+    x_sub = rng.standard_normal((cfg.n_sub, cfg.p))
+    sub = _with_response(x_sub, theta_r, rng, "subsample")
+    forget = _draw_forget(cfg, theta_f, rng)
+    st_sub = compute_stats(sub)
+    df = cfg.n_r - cfg.n_sub
+    if df == 0:
+        return st_sub, st_sub, forget, sub
+    if df < cfg.p:
+        x_rest = rng.standard_normal((df, cfg.p))
+        rest = _with_response(x_rest, theta_r, rng, "remaining")
+        gram, cross = rest.x.T @ rest.x, rest.x.T @ rest.y
+    else:
+        a = bartlett_factor(rng, df, cfg.p).lower
+        gram = a @ a.T
+        cross = gram @ theta_r + a @ rng.standard_normal(cfg.p)
+    st_r = SufficientStats(
+        sigma=(cfg.n_sub * st_sub.sigma + gram) / cfg.n_r,
+        m=(cfg.n_sub * st_sub.m + cross) / cfg.n_r,
+        n=cfg.n_r,
+    )
+    return st_r, st_sub, forget, sub
 
 
 def mpe(theta, test: Dataset) -> float:
@@ -196,15 +251,12 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     cv_rng = RngStream(cfg.seed, 2 + 2 * rep)
     if cfg.redraw_truth:
         theta_r, theta_f = draw_truth(cfg, data_rng)
-    remaining, forget, sub = generate_rep(cfg, theta_r, theta_f, data_rng)
-
-    st_r = compute_stats(remaining)
+    st_r, st_sub, forget, sub = draw_rep_stats(cfg, theta_r, theta_f, data_rng)
     st_f = (
         compute_stats(forget)
         if forget.n
         else SufficientStats(np.zeros((cfg.p, cfg.p)), np.zeros(cfg.p), 0)
     )
-    st_sub = compute_stats(sub)
     theta_p = _pooled_theta(st_r, st_f, cfg.n_r, cfg.n_f)
     model = PretrainedModel(
         theta_p=theta_p,

@@ -187,6 +187,23 @@ def test_infer_ols_only_needs_subsample(tmp_path):
     assert json.loads(out.read_text())["method"] == "ols"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_infer_overflowing_variance_exit_code(tmp_path, capsys):
+    # responses near the top of the double range make the residual sum of
+    # squares overflow; the interval must fail as numerics, not print inf
+    rng = RngStream(3, 0)
+    sub_csv = tmp_path / "s.csv"
+    _write_csv(sub_csv, rng.standard_normal((30, 2)), 1e200 * rng.standard_normal(30))
+    out = tmp_path / "r.json"
+    code = main([
+        "infer", "--sub", str(sub_csv), "--method", "ols", "--coord", "1",
+        "--out", str(out),
+    ])
+    assert code == 3
+    assert "SingularGram" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _simulate(tmp_path, tag, extra):
     records = tmp_path / f"records_{tag}.csv"
     summary = tmp_path / f"summary_{tag}.json"

@@ -5,6 +5,7 @@ from helpers import linear_instance
 from ulskit import (
     Dataset,
     DegenerateDirection,
+    InferenceReport,
     NoiseTerms,
     RngStream,
     SingularGram,
@@ -143,3 +144,12 @@ def test_report_json_shape():
     assert set(payload) == {"v", "point", "variance", "ci", "alpha", "method"}
     assert payload["ci"] == [report.ci_lo, report.ci_hi]
     assert payload["alpha"] == 0.1
+
+
+def test_report_non_finite_variance_is_a_numerics_error():
+    nan = float("nan")
+    with pytest.raises(SingularGram):
+        InferenceReport(
+            v=np.ones(2), point=0.0, variance=nan, ci_lo=nan, ci_hi=nan,
+            alpha=0.05, method="uls",
+        )

@@ -11,6 +11,7 @@ from ulskit import (
     sample_gaussian,
     spd_solve,
 )
+from ulskit.numerics import bartlett_factor, max_eigenvalue
 
 
 def test_cholesky_identity():
@@ -128,3 +129,39 @@ def test_rng_streams_differ_by_id():
     a = RngStream(123, 0).standard_normal(64)
     b = RngStream(123, 1).standard_normal(64)
     assert not np.array_equal(a, b)
+
+
+def test_max_eigenvalue_when_ones_is_an_eigenvector():
+    # the all-ones vector is the lambda = 1 eigenvector here, so a power
+    # iteration started from it never sees lambda = 2
+    a = np.array([[1.5, -0.5], [-0.5, 1.5]])
+    assert max_eigenvalue(a) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_bartlett_factor_moments():
+    # W = A A' ~ Wishart(df, I): E W = df I, Var W_ii = 2 df, Var W_ij = df,
+    # and A z ~ N(0, df I) marginally. Tolerances are about 5 Monte Carlo
+    # standard errors at this draw count.
+    p, df, draws = 3, 7, 20_000
+    rng = RngStream(11, 0)
+    w = np.empty((draws, p, p))
+    s = np.empty((draws, p))
+    for k in range(draws):
+        a = bartlett_factor(rng, df, p).lower
+        assert np.array_equal(a, np.tril(a)) and np.all(np.diag(a) > 0)
+        w[k] = a @ a.T
+        s[k] = a @ rng.standard_normal(p)
+    off = ~np.eye(p, dtype=bool)
+    assert_allclose(w.mean(axis=0), df * np.eye(p), atol=0.15)
+    var_w = w.var(axis=0)
+    assert_allclose(np.diag(var_w), 2 * df, rtol=0.08)
+    assert_allclose(var_w[off], df, rtol=0.08)
+    cov_s = s.T @ s / draws
+    assert_allclose(np.diag(cov_s), df, rtol=0.08)
+    assert_allclose(cov_s[off], 0.0, atol=0.3)
+
+
+def test_bartlett_factor_needs_df_at_least_p():
+    assert bartlett_factor(RngStream(0, 0), 3, 3).dim == 3
+    with pytest.raises(ValueError):
+        bartlett_factor(RngStream(0, 0), 2, 3)

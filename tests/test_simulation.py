@@ -13,7 +13,7 @@ from ulskit import (
     run_experiment,
     write_records,
 )
-from ulskit.simulation import SimConfig
+from ulskit.simulation import SimConfig, _run_rep, draw_rep_stats
 
 
 def small_config(**overrides):
@@ -205,3 +205,48 @@ def test_uls_interval_narrower_than_ols_across_settings():
         assert (
             summary.methods["uls"]["mean_sd"] < summary.methods["ols"]["mean_sd"]
         ), overrides
+
+
+@pytest.mark.parametrize(
+    "n_r, p, ratio",
+    [(40, 3, 0.25), (12, 5, 0.75)],  # 30 other rows by Bartlett; 3 < p drawn
+)
+def test_rep_stats_moments(n_r, p, ratio):
+    # n_r sigma_r = X'X and n_r (m_r - sigma_r theta_r) = X'eps of n_r iid
+    # N(0, I) rows with unit noise: E X'X = n_r I, Var (X'X)_ii = 2 n_r,
+    # Cov X'eps = n_r I. Tolerances are about 5 Monte Carlo standard errors.
+    cfg = small_config(n_r=n_r, n_f=4, p=p, subsample_ratio=ratio)
+    theta_r, theta_f = draw_truth(cfg, RngStream(8, 0))
+    draws = 4000
+    gram = np.empty((draws, p, p))
+    cross = np.empty((draws, p))
+    for k in range(draws):
+        st_r, st_sub, forget, sub = draw_rep_stats(
+            cfg, theta_r, theta_f, RngStream(8, 1 + k)
+        )
+        assert (st_r.n, st_sub.n, sub.n, forget.n) == (n_r, cfg.n_sub, cfg.n_sub, 4)
+        gram[k] = n_r * st_r.sigma
+        cross[k] = n_r * (st_r.m - st_r.sigma @ theta_r)
+    assert_allclose(gram.mean(axis=0), n_r * np.eye(p), atol=0.08 * n_r)
+    assert_allclose(np.diag(gram.var(axis=0)), 2 * n_r, rtol=0.15)
+    assert_allclose(cross.T @ cross / draws, n_r * np.eye(p), atol=0.15 * n_r)
+
+
+def test_rep_stats_few_other_rows_are_rows():
+    # n_r - n_sub = 3 < p = 5 has no Bartlett draw: the 3 rows are drawn, so
+    # their Gram has rank 3
+    cfg = small_config(n_r=12, n_f=4, p=5, subsample_ratio=0.75)
+    theta_r, theta_f = draw_truth(cfg, RngStream(7, 0))
+    st_r, st_sub, _, _ = draw_rep_stats(cfg, theta_r, theta_f, RngStream(7, 1))
+    rest = cfg.n_r * st_r.sigma - cfg.n_sub * st_sub.sigma
+    assert np.linalg.matrix_rank(rest, tol=1e-8) == 3
+
+
+def test_run_rep_full_ratio_uls_is_retrain_under_shift():
+    cfg = small_config(subsample_ratio=1.0, delta=2.0)
+    theta_r, theta_f = draw_truth(cfg, RngStream(cfg.seed, 0))
+    st_r, st_sub, _, _ = draw_rep_stats(cfg, theta_r, theta_f, RngStream(0, 1))
+    assert st_r is st_sub
+    errors = {r.method: r.error for r in _run_rep(cfg, 0, theta_r, theta_f, {})}
+    assert errors["uls"] == pytest.approx(errors["retrain"], abs=1e-10)
+    assert abs(errors["pretrain"] - errors["retrain"]) > 1e-3

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .data_model import (
+    compute_stats,
     concat_datasets,
     load_csv,
     load_model,
@@ -28,28 +29,21 @@ from .data_model import (
     subsample,
 )
 from .errors import ParseError, SchemaMismatch, UlsError
-from .estimators import (
-    GdConfig,
-    gd_unlearn,
-    graddiff,
-    ols_fit,
-    pretrain,
-    transfer_ridge,
-    uls,
-    uls_plus,
-)
-from .inference import ci_ols, ci_uls
+from .estimators import SOLVERS, GdConfig, prepare, pretrain
+from .inference import INTERVALS, ci_ols, ci_uls
 from .loss import get_loss
 from .numerics import RngStream
 from .simulation import (
+    METHODS,
     PRESETS,
     SimConfig,
+    method_theta,
     mpe,
     run_experiment,
     write_records,
     write_summary,
 )
-from .tuning import CV_METHODS, CvSpec, cv_select, log_grid, plugin_lambda
+from .tuning import CvSpec, cv_select, log_grid, plugin_lambda
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -92,6 +86,7 @@ def _cmd_unlearn(args) -> int:
     model = load_model(args.model)
     forget = load_csv(args.forget, role="forget", expected_p=model.p)
     sub = load_csv(args.sub, role="subsample", expected_p=model.p)
+    solver = SOLVERS[args.method]
 
     cv_table = None
     if args.lam is not None:
@@ -100,23 +95,14 @@ def _cmd_unlearn(args) -> int:
         if args.method != "uls+":
             raise ValueError("--lam-rule plugin is only defined for --method uls+")
         lam = plugin_lambda(model, forget, sub)
-    elif args.method in CV_METHODS:
+    elif solver.tuned:
         rng = RngStream(args.cv_seed, 0)
         lam, cv_table = cv_select(args.method, model, forget, sub, _cv_spec(args), rng)
     else:
         lam = None
 
-    if args.method == "uls":
-        result = uls(model, forget, sub)
-    elif args.method == "uls+":
-        result = uls_plus(model, forget, sub, lam)
-    elif args.method == "graddiff":
-        result = graddiff(model, forget, sub, lam)
-    elif args.method == "tl":
-        result = transfer_ridge(model, sub, lam)
-    else:
-        cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
-        result = gd_unlearn(get_loss(model.loss_id), model, forget, sub, cfg)
+    cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
+    result = solver.fit(prepare(model, forget, sub, cfg), lam)
 
     _write_json(result.to_json_dict(), args.out)
     if args.cv_table and cv_table is not None:
@@ -189,27 +175,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _bench_fit(name, model, remaining, forget, sub, spec, cv_rng):
-    if name == "retrain":
-        return ols_fit(remaining, method="retrain").theta
-    if name == "pretrain":
-        return model.theta_p
-    if name == "ols":
-        return ols_fit(sub).theta
-    if name == "uls":
-        return uls(model, forget, sub).theta
-    if name == "gd":
-        return gd_unlearn(get_loss("squared"), model, forget, sub).theta
-    if name not in CV_METHODS:
-        raise ValueError(f"unknown method {name!r}")
-    lam, _ = cv_select(name, model, forget, sub, spec, cv_rng)
-    if name == "uls+":
-        return uls_plus(model, forget, sub, lam).theta
-    if name == "graddiff":
-        return graddiff(model, forget, sub, lam).theta
-    return transfer_ridge(model, sub, lam).theta
-
-
 def _cmd_bench(args) -> int:
     remaining = load_csv(args.remaining, role="remaining")
     forget = load_csv(args.forget, role="forget", expected_p=remaining.p)
@@ -220,6 +185,8 @@ def _cmd_bench(args) -> int:
     n_sub = max(1, int(round(args.ratio * remaining.n)))
     sub = subsample(remaining, n_sub, RngStream(args.seed, 1))
     spec = _cv_spec(args)
+    pb = prepare(model, forget, sub)
+    st_r = compute_stats(remaining)
 
     # the retrained oracle rides along by default; an explicit list is final
     if args.methods:
@@ -230,8 +197,12 @@ def _cmd_bench(args) -> int:
     def run_one(idx_name):
         idx, name = idx_name
         cv_rng = RngStream(args.seed, 2 + idx)
+
+        def pick_lambda(method):
+            return cv_select(method, model, forget, sub, spec, cv_rng)[0]
+
         start = time.perf_counter()
-        theta = _bench_fit(name, model, remaining, forget, sub, spec, cv_rng)
+        theta = method_theta(name, pb, st_r, pick_lambda)
         millis = (time.perf_counter() - start) * 1e3
         return name, mpe(theta, test), millis
 
@@ -272,8 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     u.add_argument("--model", required=True)
     u.add_argument("--forget", required=True)
     u.add_argument("--sub", required=True)
-    u.add_argument("--method", choices=["uls", "uls+", "graddiff", "tl", "gd"],
-                   default="uls")
+    u.add_argument("--method", choices=list(SOLVERS), default="uls")
     u.add_argument("--lam", "--lambda", dest="lam", type=float, default=None,
                    help="regularization weight; omit to select via --lam-rule")
     u.add_argument("--lam-rule", choices=["cv", "plugin"], default="cv",
@@ -297,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--model")
     i.add_argument("--forget")
     i.add_argument("--sub", required=True)
-    i.add_argument("--method", choices=["uls", "ols"], default="uls")
+    i.add_argument("--method", choices=list(INTERVALS), default="uls")
     group = i.add_mutually_exclusive_group(required=True)
     group.add_argument("--coord", type=int, default=None,
                        help="1-based elementary direction")
@@ -318,8 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reps", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--methods", default=None,
-                   help="comma-separated subset of retrain,pretrain,ols,uls,"
-                        "uls+,graddiff,tl,gd")
+                   help="comma-separated subset of " + ",".join(METHODS))
     s.add_argument("--v-coord", type=int, default=None)
     s.add_argument("--alpha", type=float, default=None)
     s.add_argument("--oracle-lambda", action="store_true",

@@ -16,11 +16,19 @@ bias-corrected least squares update theta_p + (omega_f/omega_r)
 sigma_sub^{-1} (sigma_f theta_p - m_f); the others are its robustified,
 ascent/descent, and ridge-anchored counterparts. Each fit reports the norm of
 its own objective gradient at the solution as a stationarity certificate.
+
+:func:`prepare` forms these statistics once into a :class:`Problem`, and the
+:data:`SOLVERS` table maps each method name to its solver on a problem. The
+table is the one place a method is dispatched: the dataset-level functions
+below, cross-validation, the simulation harness and the CLI all go through
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +36,7 @@ from .data_model import (
     Dataset,
     PretrainedModel,
     SufficientStats,
+    WeightProfile,
     compute_stats,
 )
 from .errors import (
@@ -38,8 +47,8 @@ from .errors import (
     NotPositiveDefinite,
     SingularGram,
 )
-from .loss import LossFn, loss_grad, loss_value
-from .numerics import cholesky, max_eigenvalue, spd_solve
+from .loss import LossFn, get_loss, loss_grad, loss_value
+from .numerics import SpdFactor, cholesky, max_eigenvalue, spd_solve
 
 _DIVERGE_FACTOR = 1e8
 
@@ -81,7 +90,8 @@ class GdConfig:
             raise ValueError("grad_tol must be positive")
 
 
-def _spd_factor(sigma):
+def _spd_factor(sigma) -> SpdFactor:
+    """Cholesky factor of a Gram matrix; a singular one is a SingularGram."""
     try:
         return cholesky(sigma)
     except NotPositiveDefinite as exc:
@@ -96,66 +106,190 @@ def _check_dims(model: PretrainedModel, *datasets: Dataset) -> None:
             )
 
 
-def _zero_stats(p: int) -> SufficientStats:
+def forget_stats(forget: Dataset | None, p: int) -> SufficientStats:
+    """Statistics of the forget rows; all zeros when there are none."""
+    if forget is not None and forget.n:
+        return compute_stats(forget)
     return SufficientStats(sigma=np.zeros((p, p)), m=np.zeros(p), n=0)
 
 
-def _forget_stats(forget: Dataset) -> SufficientStats:
-    return compute_stats(forget) if forget.n else _zero_stats(forget.p)
+# ---------------------------------------------------------------------------
+# The prepared problem and the solver table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Problem:
+    """One unlearning problem with its statistics formed once.
+
+    ``model`` is None when only the subsample matters (OLS and its
+    interval). ``sub`` and ``forget`` are the rows behind the statistics,
+    which gradient descent and the interval noise terms read; a
+    cross-validation fold problem has none. The subsample Cholesky factor is
+    computed on first use and then shared. It is lazy because the ridge and
+    GradDiff solvers never need it and must work when n_sub < p.
+    """
+
+    model: PretrainedModel | None
+    st_sub: SufficientStats
+    st_f: SufficientStats
+    sub: Dataset | None = None
+    forget: Dataset | None = None
+    gd: GdConfig = GdConfig()
+
+    @property
+    def theta_p(self) -> np.ndarray:
+        return self.model.theta_p
+
+    @cached_property
+    def w(self) -> WeightProfile:
+        return self.model.weights()
+
+    @cached_property
+    def sub_factor(self) -> SpdFactor:
+        return _spd_factor(self.st_sub.sigma)
 
 
-# ---------------------------------------------------------------------------
-# Closed forms on sufficient statistics (shared by the dataset-level API,
-# cross-validation, and the simulation harness)
-# ---------------------------------------------------------------------------
+def prepare(
+    model: PretrainedModel | None,
+    forget: Dataset | None,
+    sub: Dataset,
+    gd: GdConfig = GdConfig(),
+) -> Problem:
+    """Form the statistics of the subsample and the forget rows once."""
+    if model is not None:
+        _check_dims(model, *(d for d in (forget, sub) if d is not None))
+    return Problem(
+        model=model,
+        st_sub=compute_stats(sub),
+        st_f=forget_stats(forget, sub.p),
+        sub=sub,
+        forget=forget,
+        gd=gd,
+    )
+
 
 def ols_theta(stats: SufficientStats) -> np.ndarray:
     return spd_solve(_spd_factor(stats.sigma), stats.m)
 
 
-def uls_theta(theta_p, omega_f, omega_r, st_sub, st_f) -> np.ndarray:
-    factor = _spd_factor(st_sub.sigma)
-    correction = spd_solve(factor, st_f.sigma @ theta_p - st_f.m)
-    return theta_p + (omega_f / omega_r) * correction
+def _require_squared(pb: Problem, name: str) -> None:
+    if pb.model.loss_id != "squared":
+        raise ValueError(f"{name} requires a squared-loss pretrained model")
 
 
-def uls_plus_theta(theta_p, omega_f, omega_r, st_sub, st_f, lam) -> np.ndarray:
-    factor = _spd_factor(st_sub.sigma)
-    sigma_mix_theta = omega_r * (st_sub.sigma @ theta_p) + omega_f * (
+def _result(method: str, theta, grad, lam=None) -> EstimateResult:
+    """A fit certified by the norm of its objective gradient at theta."""
+    return EstimateResult(
+        theta=theta,
+        method=method,
+        lambda_used=None if lam is None else float(lam),
+        grad_residual=float(np.linalg.norm(grad)),
+    )
+
+
+def _uls_objective_grad(theta, pb: Problem) -> np.ndarray:
+    w, st_sub, st_f = pb.w, pb.st_sub, pb.st_f
+    gap = pb.theta_p - theta
+    sigma_mix_gap = w.omega_r * (st_sub.sigma @ gap) + w.omega_f * (st_f.sigma @ gap)
+    return 2.0 * w.omega_f * (st_f.m - st_f.sigma @ theta) - 2.0 * sigma_mix_gap
+
+
+def _ols(pb: Problem, lam=None) -> EstimateResult:
+    st = pb.st_sub
+    theta = spd_solve(pb.sub_factor, st.m)
+    return _result("ols", theta, st.m - st.sigma @ theta)
+
+
+def _uls(pb: Problem, lam=None) -> EstimateResult:
+    _require_squared(pb, "uls")
+    if pb.st_f.n == 0:  # nothing to forget: a no-op
+        return _result("uls", pb.theta_p.copy(), 0.0)
+    st_f = pb.st_f
+    correction = spd_solve(pb.sub_factor, st_f.sigma @ pb.theta_p - st_f.m)
+    theta = pb.theta_p + (pb.w.omega_f / pb.w.omega_r) * correction
+    return _result("uls", theta, _uls_objective_grad(theta, pb))
+
+
+def _uls_plus(pb: Problem, lam) -> EstimateResult:
+    _require_squared(pb, "uls_plus")
+    if lam < 0.0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if pb.st_f.n == 0:  # nothing to forget: a no-op
+        return _result("uls+", pb.theta_p.copy(), 0.0, lam)
+    w, st_sub, st_f, theta_p = pb.w, pb.st_sub, pb.st_f, pb.theta_p
+    sigma_mix_theta = w.omega_r * (st_sub.sigma @ theta_p) + w.omega_f * (
         st_f.sigma @ theta_p
     )
-    rhs = sigma_mix_theta + lam * st_sub.m - omega_f * st_f.m
-    return spd_solve(factor, rhs) / (omega_r + lam)
+    rhs = sigma_mix_theta + lam * st_sub.m - w.omega_f * st_f.m
+    theta = spd_solve(pb.sub_factor, rhs) / (w.omega_r + lam)
+    grad = _uls_objective_grad(theta, pb) + 2.0 * lam * (
+        st_sub.sigma @ theta - st_sub.m
+    )
+    return _result("uls+", theta, grad, lam)
 
 
-def graddiff_theta(st_sub, st_f, lam) -> np.ndarray:
-    a = lam * st_sub.sigma - st_f.sigma
+def _graddiff(pb: Problem, lam) -> EstimateResult:
+    _require_squared(pb, "graddiff")
+    st_sub, st_f = pb.st_sub, pb.st_f
     try:
-        factor = cholesky(a)
+        factor = cholesky(lam * st_sub.sigma - st_f.sigma)
     except NotPositiveDefinite as exc:
         raise IndefiniteObjective(
             f"lam={lam:g} is below the convexity threshold: {exc}"
         ) from None
-    return spd_solve(factor, lam * st_sub.m - st_f.m)
+    theta = spd_solve(factor, lam * st_sub.m - st_f.m)
+    grad = 2.0 * (st_f.m - st_f.sigma @ theta) + 2.0 * lam * (
+        st_sub.sigma @ theta - st_sub.m
+    )
+    return _result("graddiff", theta, grad, lam)
 
 
-def transfer_ridge_theta(theta_p, st_sub, lam) -> np.ndarray:
+def _transfer_ridge(pb: Problem, lam) -> EstimateResult:
+    if lam <= 0.0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+    st_sub, theta_p = pb.st_sub, pb.theta_p
     a = st_sub.sigma + lam * np.eye(st_sub.sigma.shape[0])
-    return spd_solve(cholesky(a), st_sub.m + lam * theta_p)
+    theta = spd_solve(cholesky(a), st_sub.m + lam * theta_p)
+    grad = 2.0 * (st_sub.sigma @ theta - st_sub.m) + 2.0 * lam * (theta - theta_p)
+    return _result("tl", theta, grad, lam)
+
+
+def _gd(pb: Problem, lam=None) -> EstimateResult:
+    f = get_loss(pb.model.loss_id)
+    return gd_unlearn(f, pb.model, pb.forget, pb.sub, pb.gd)
+
+
+class Solver(NamedTuple):
+    """``fit(problem, lam)`` gives a method's fit and its certificate.
+
+    A ``tuned`` method takes a lambda picked by cross-validation; the others
+    ignore ``lam``.
+    """
+
+    fit: Callable[[Problem, float | None], EstimateResult]
+    tuned: bool = False
+
+
+SOLVERS = {
+    "ols": Solver(_ols),
+    "uls": Solver(_uls),
+    "uls+": Solver(_uls_plus, tuned=True),
+    "graddiff": Solver(_graddiff, tuned=True),
+    "tl": Solver(_transfer_ridge, tuned=True),
+    "gd": Solver(_gd),
+}
 
 
 # ---------------------------------------------------------------------------
-# Dataset-level estimators
+# Dataset-level estimators: prepare, solve through the table
 # ---------------------------------------------------------------------------
 
 def ols_fit(d: Dataset, method: str = "ols") -> EstimateResult:
     """Ordinary least squares via the normal equations."""
-    stats = compute_stats(d)
+    pb = prepare(None, None, d)
     if d.n < d.p:
         raise SingularGram(f"n={d.n} rows cannot identify p={d.p} coefficients")
-    theta = ols_theta(stats)
-    residual = float(np.linalg.norm(stats.m - stats.sigma @ theta))
-    return EstimateResult(theta=theta, method=method, grad_residual=residual)
+    return replace(SOLVERS["ols"].fit(pb), method=method)
 
 
 def uls(model: PretrainedModel, forget: Dataset, sub: Dataset) -> EstimateResult:
@@ -164,28 +298,7 @@ def uls(model: PretrainedModel, forget: Dataset, sub: Dataset) -> EstimateResult
     An empty forget set is a no-op: the pretrained coefficients are returned
     unchanged.
     """
-    if model.loss_id != "squared":
-        raise ValueError("uls requires a squared-loss pretrained model")
-    _check_dims(model, forget, sub)
-    if forget.n == 0:
-        return EstimateResult(
-            theta=model.theta_p.copy(), method="uls", grad_residual=0.0
-        )
-    w = model.weights()
-    st_sub = compute_stats(sub)
-    st_f = compute_stats(forget)
-    theta = uls_theta(model.theta_p, w.omega_f, w.omega_r, st_sub, st_f)
-    residual = float(
-        np.linalg.norm(_uls_objective_grad(theta, model, st_sub, st_f))
-    )
-    return EstimateResult(theta=theta, method="uls", grad_residual=residual)
-
-
-def _uls_objective_grad(theta, model, st_sub, st_f) -> np.ndarray:
-    w = model.weights()
-    gap = model.theta_p - theta
-    sigma_mix_gap = w.omega_r * (st_sub.sigma @ gap) + w.omega_f * (st_f.sigma @ gap)
-    return 2.0 * w.omega_f * (st_f.m - st_f.sigma @ theta) - 2.0 * sigma_mix_gap
+    return SOLVERS["uls"].fit(prepare(model, forget, sub))
 
 
 def uls_objective_grad(
@@ -198,9 +311,8 @@ def uls_objective_grad(
 
     whose unique stationary point is the closed-form :func:`uls` output.
     """
-    _check_dims(model, forget, sub)
-    theta = np.asarray(theta, dtype=np.float64)
-    return _uls_objective_grad(theta, model, compute_stats(sub), _forget_stats(forget))
+    pb = prepare(model, forget, sub)
+    return _uls_objective_grad(np.asarray(theta, dtype=np.float64), pb)
 
 
 def uls_plus(
@@ -210,31 +322,7 @@ def uls_plus(
 
     lam = 0 reduces to :func:`uls`; an empty forget set is again a no-op.
     """
-    if model.loss_id != "squared":
-        raise ValueError("uls_plus requires a squared-loss pretrained model")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    _check_dims(model, forget, sub)
-    if forget.n == 0:
-        return EstimateResult(
-            theta=model.theta_p.copy(),
-            method="uls+",
-            lambda_used=float(lam),
-            grad_residual=0.0,
-        )
-    w = model.weights()
-    st_sub = compute_stats(sub)
-    st_f = compute_stats(forget)
-    theta = uls_plus_theta(model.theta_p, w.omega_f, w.omega_r, st_sub, st_f, lam)
-    grad = _uls_objective_grad(theta, model, st_sub, st_f) + 2.0 * lam * (
-        st_sub.sigma @ theta - st_sub.m
-    )
-    return EstimateResult(
-        theta=theta,
-        method="uls+",
-        lambda_used=float(lam),
-        grad_residual=float(np.linalg.norm(grad)),
-    )
+    return SOLVERS["uls+"].fit(prepare(model, forget, sub), lam)
 
 
 def graddiff(
@@ -245,41 +333,14 @@ def graddiff(
     Requires lam * sigma_sub - sigma_f to be positive definite; otherwise the
     objective is unbounded below and :class:`IndefiniteObjective` is raised.
     """
-    if model.loss_id != "squared":
-        raise ValueError("graddiff requires a squared-loss pretrained model")
-    _check_dims(model, forget, sub)
-    st_sub = compute_stats(sub)
-    st_f = _forget_stats(forget)
-    theta = graddiff_theta(st_sub, st_f, lam)
-    grad = 2.0 * (st_f.m - st_f.sigma @ theta) + 2.0 * lam * (
-        st_sub.sigma @ theta - st_sub.m
-    )
-    return EstimateResult(
-        theta=theta,
-        method="graddiff",
-        lambda_used=float(lam),
-        grad_residual=float(np.linalg.norm(grad)),
-    )
+    return SOLVERS["graddiff"].fit(prepare(model, forget, sub), lam)
 
 
 def transfer_ridge(
     model: PretrainedModel, sub: Dataset, lam: float
 ) -> EstimateResult:
     """Least squares on the subsample, ridge-anchored to the pretrained fit."""
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    _check_dims(model, sub)
-    st_sub = compute_stats(sub)
-    theta = transfer_ridge_theta(model.theta_p, st_sub, lam)
-    grad = 2.0 * (st_sub.sigma @ theta - st_sub.m) + 2.0 * lam * (
-        theta - model.theta_p
-    )
-    return EstimateResult(
-        theta=theta,
-        method="tl",
-        lambda_used=float(lam),
-        grad_residual=float(np.linalg.norm(grad)),
-    )
+    return SOLVERS["tl"].fit(prepare(model, None, sub), lam)
 
 
 def default_step_size(f: LossFn, model: PretrainedModel, sub: Dataset) -> float:

@@ -21,19 +21,15 @@ With nominal level alpha, the interval is v'theta +/- z_{1-alpha/2} sqrt(V).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm
 
-from .data_model import Dataset, PretrainedModel, compute_stats
-from .errors import (
-    DegenerateDirection,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    SingularGram,
-)
-from .estimators import ols_fit, uls
-from .numerics import as_vector, cholesky, spd_solve
+from .data_model import Dataset, PretrainedModel
+from .errors import DegenerateDirection, DimensionMismatch, SingularGram
+from .estimators import SOLVERS, Problem, prepare
+from .numerics import SpdFactor, as_vector, spd_solve
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,12 @@ class InferenceReport:
         }
 
 
+@lru_cache(maxsize=None)
 def normal_quantile(q: float) -> float:
-    """Standard normal quantile; q = 0.975 gives 1.959964 to six decimals."""
+    """Standard normal quantile; q = 0.975 gives 1.959964 to six decimals.
+
+    Cached, since an interval needs it for one alpha again and again.
+    """
     return float(norm.ppf(q))
 
 
@@ -94,16 +94,7 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def noise_terms(v, sub: Dataset, theta_uls, theta_p) -> NoiseTerms:
-    """Per-row noise components, both computed against the subsample's Gram."""
-    theta_uls = as_vector(theta_uls, "theta_uls")
-    theta_p = as_vector(theta_p, "theta_p")
-    v = _check_direction(v, sub.p)
-    stats = compute_stats(sub)
-    try:
-        factor = cholesky(stats.sigma)
-    except NotPositiveDefinite as exc:
-        raise SingularGram(str(exc)) from None
+def _noise_terms(v, sub: Dataset, factor: SpdFactor, theta_uls, theta_p) -> NoiseTerms:
     w = spd_solve(factor, v)
     xw = sub.x @ w
     a = xw * (sub.y - sub.x @ theta_uls)
@@ -112,6 +103,15 @@ def noise_terms(v, sub: Dataset, theta_uls, theta_p) -> NoiseTerms:
     # using sigma w = v; the terms average to zero by construction of sigma.
     b = xw * (sub.x @ diff) - float(v @ diff)
     return NoiseTerms(a=a, b=b)
+
+
+def noise_terms(v, sub: Dataset, theta_uls, theta_p) -> NoiseTerms:
+    """Per-row noise components, both computed against the subsample's Gram."""
+    theta_uls = as_vector(theta_uls, "theta_uls")
+    theta_p = as_vector(theta_p, "theta_p")
+    v = _check_direction(v, sub.p)
+    factor = prepare(None, None, sub).sub_factor
+    return _noise_terms(v, sub, factor, theta_uls, theta_p)
 
 
 def variance_uls(terms: NoiseTerms, n_r: int, n_sub: int) -> float:
@@ -128,6 +128,49 @@ def variance_uls(terms: NoiseTerms, n_r: int, n_sub: int) -> float:
     return float(first + second)
 
 
+def _report(v, theta, variance: float, alpha: float, method: str) -> InferenceReport:
+    point = float(v @ theta)
+    half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variance)
+    return InferenceReport(
+        v=v,
+        point=point,
+        variance=variance,
+        ci_lo=point - half,
+        ci_hi=point + half,
+        alpha=alpha,
+        method=method,
+    )
+
+
+def uls_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
+    """Interval for v'theta from a prepared problem and its uls fit theta."""
+    _check_alpha(alpha)
+    v = _check_direction(v, pb.sub.p)
+    terms = _noise_terms(v, pb.sub, pb.sub_factor, theta, pb.theta_p)
+    variance = variance_uls(terms, pb.model.n_remaining, pb.sub.n)
+    return _report(v, theta, variance, alpha, "uls")
+
+
+def ols_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
+    """Classical interval for v'theta from a prepared problem and its OLS fit."""
+    _check_alpha(alpha)
+    sub = pb.sub
+    v = _check_direction(v, sub.p)
+    if sub.n <= sub.p:
+        raise SingularGram(
+            f"classical interval needs n > p, got n={sub.n}, p={sub.p}"
+        )
+    resid = sub.y - sub.x @ theta
+    s2 = float(resid @ resid) / (sub.n - sub.p)
+    # v'(X'X)^{-1} v = v' sigma^{-1} v / n
+    quad = float(v @ spd_solve(pb.sub_factor, v)) / sub.n
+    return _report(v, theta, s2 * quad, alpha, "ols")
+
+
+# The methods with an interval, each computed from the problem the fit used.
+INTERVALS = {"uls": uls_interval, "ols": ols_interval}
+
+
 def ci_uls(
     model: PretrainedModel,
     forget: Dataset,
@@ -141,48 +184,11 @@ def ci_uls(
     in particular the subsample responses enter the variance but not the
     point estimate.
     """
-    _check_alpha(alpha)
-    v = _check_direction(v, model.p)
-    fit = uls(model, forget, sub)
-    terms = noise_terms(v, sub, fit.theta, model.theta_p)
-    variance = variance_uls(terms, model.n_remaining, sub.n)
-    point = float(v @ fit.theta)
-    half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variance)
-    return InferenceReport(
-        v=v,
-        point=point,
-        variance=variance,
-        ci_lo=point - half,
-        ci_hi=point + half,
-        alpha=alpha,
-        method="uls",
-    )
+    pb = prepare(model, forget, sub)
+    return uls_interval(pb, SOLVERS["uls"].fit(pb).theta, v, alpha)
 
 
 def ci_ols(sub: Dataset, v, alpha: float = 0.05) -> InferenceReport:
     """Classical OLS interval for v'theta from the subsample alone."""
-    _check_alpha(alpha)
-    v = _check_direction(v, sub.p)
-    if sub.n <= sub.p:
-        raise SingularGram(
-            f"classical interval needs n > p, got n={sub.n}, p={sub.p}"
-        )
-    fit = ols_fit(sub)
-    resid = sub.y - sub.x @ fit.theta
-    s2 = float(resid @ resid) / (sub.n - sub.p)
-    stats = compute_stats(sub)
-    # v'(X'X)^{-1} v = v' sigma^{-1} v / n
-    w = spd_solve(cholesky(stats.sigma), v)
-    quad = float(v @ w) / sub.n
-    variance = s2 * quad
-    point = float(v @ fit.theta)
-    half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variance)
-    return InferenceReport(
-        v=v,
-        point=point,
-        variance=variance,
-        ci_lo=point - half,
-        ci_hi=point + half,
-        alpha=alpha,
-        method="ols",
-    )
+    pb = prepare(None, None, sub)
+    return ols_interval(pb, SOLVERS["ols"].fit(pb).theta, v, alpha)

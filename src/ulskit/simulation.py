@@ -38,17 +38,8 @@ from .data_model import (
     subsample,
 )
 from .errors import EmptyDataset, UlsError
-from .estimators import (
-    GdConfig,
-    gd_unlearn,
-    graddiff_theta,
-    ols_theta,
-    transfer_ridge_theta,
-    uls_theta,
-    uls_plus_theta,
-)
-from .inference import ci_ols, ci_uls
-from .loss import SQUARED
+from .estimators import SOLVERS, Problem, forget_stats, ols_theta
+from .inference import INTERVALS
 from .numerics import (
     RngStream,
     ar1_covariance,
@@ -58,10 +49,9 @@ from .numerics import (
 )
 from .tuning import CvSpec, cv_select, log_grid
 
-METHODS = ("retrain", "pretrain", "ols", "uls", "uls+", "graddiff", "tl", "gd")
-
-# methods whose replication records carry CI coverage and sd
-CI_METHODS = ("uls", "ols")
+# the retrain and pretrain references, then every unlearner of the table;
+# those with an entry in INTERVALS also record CI coverage and sd
+METHODS = ("retrain", "pretrain", *SOLVERS)
 
 PRESETS = {
     "table1": {
@@ -246,26 +236,38 @@ def _pooled_theta(st_r, st_f, n_r, n_f):
     return ols_theta(SufficientStats(sigma=sigma, m=m, n=n))
 
 
+def method_theta(name: str, pb: Problem, st_r, pick_lambda) -> np.ndarray:
+    """Coefficients of one method of :data:`METHODS` on a prepared problem.
+
+    retrain is least squares on the remaining rows, given by their statistics
+    ``st_r``; pretrain is the model's own fit. Every other name goes through
+    the solver table, taking ``pick_lambda(name)`` when the solver is tuned.
+    """
+    if name == "retrain":
+        return ols_theta(st_r)
+    if name == "pretrain":
+        return pb.theta_p
+    solver = SOLVERS.get(name)
+    if solver is None:
+        raise ValueError(f"unknown method {name!r}; expected {METHODS}")
+    return solver.fit(pb, pick_lambda(name) if solver.tuned else None).theta
+
+
 def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     data_rng = RngStream(cfg.seed, 1 + 2 * rep)
     cv_rng = RngStream(cfg.seed, 2 + 2 * rep)
     if cfg.redraw_truth:
         theta_r, theta_f = draw_truth(cfg, data_rng)
     st_r, st_sub, forget, sub = draw_rep_stats(cfg, theta_r, theta_f, data_rng)
-    st_f = (
-        compute_stats(forget)
-        if forget.n
-        else SufficientStats(np.zeros((cfg.p, cfg.p)), np.zeros(cfg.p), 0)
-    )
-    theta_p = _pooled_theta(st_r, st_f, cfg.n_r, cfg.n_f)
+    st_f = forget_stats(forget, cfg.p)
     model = PretrainedModel(
-        theta_p=theta_p,
+        theta_p=_pooled_theta(st_r, st_f, cfg.n_r, cfg.n_f),
         n_total=cfg.n_r + cfg.n_f,
         n_remaining=cfg.n_r,
         n_forget=cfg.n_f,
         loss_id="squared",
     )
-    w = model.weights()
+    pb = Problem(model=model, st_sub=st_sub, st_f=st_f, sub=sub, forget=forget)
     v_idx = cfg.v_direction - 1
     v = np.zeros(cfg.p)
     v[v_idx] = 1.0
@@ -277,43 +279,16 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
         lam, _ = cv_select(name, model, forget, sub, cfg.cv_spec(), cv_rng)
         return lam
 
-    def fit(name: str) -> np.ndarray:
-        if name == "retrain":
-            return ols_theta(st_r)
-        if name == "pretrain":
-            return theta_p
-        if name == "ols":
-            return ols_theta(st_sub)
-        if name == "uls":
-            if forget.n == 0:
-                return theta_p
-            return uls_theta(theta_p, w.omega_f, w.omega_r, st_sub, st_f)
-        if name == "uls+":
-            if forget.n == 0:
-                return theta_p
-            return uls_plus_theta(
-                theta_p, w.omega_f, w.omega_r, st_sub, st_f, pick_lambda(name)
-            )
-        if name == "graddiff":
-            return graddiff_theta(st_sub, st_f, pick_lambda(name))
-        if name == "tl":
-            return transfer_ridge_theta(theta_p, st_sub, pick_lambda(name))
-        return gd_unlearn(SQUARED, model, forget, sub, GdConfig()).theta
-
     records = []
     for name in cfg.methods:
         start = time.perf_counter()
         covered = None
         sd_hat = None
         try:
-            theta = fit(name)
+            theta = method_theta(name, pb, st_r, pick_lambda)
             error = float(np.linalg.norm(theta - theta_r))
-            if name in CI_METHODS:
-                report = (
-                    ci_uls(model, forget, sub, v, cfg.alpha)
-                    if name == "uls"
-                    else ci_ols(sub, v, cfg.alpha)
-                )
+            if name in INTERVALS:
+                report = INTERVALS[name](pb, theta, v, cfg.alpha)
                 covered = report.ci_lo <= truth <= report.ci_hi
                 sd_hat = float(np.sqrt(report.variance))
         except UlsError:

@@ -11,21 +11,16 @@ failing the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data_model import Dataset, PretrainedModel, SufficientStats, compute_stats
+from .data_model import Dataset, PretrainedModel, SufficientStats
 from .errors import IndefiniteObjective, InsufficientData, NoFeasibleLambda
-from .estimators import (
-    graddiff_theta,
-    ols_fit,
-    transfer_ridge_theta,
-    uls_plus_theta,
-)
+from .estimators import SOLVERS, ols_fit, prepare
 from .numerics import RngStream
 
-CV_METHODS = ("uls+", "graddiff", "tl")
+CV_METHODS = tuple(name for name, solver in SOLVERS.items() if solver.tuned)
 
 
 def plugin_lambda(model: PretrainedModel, forget: Dataset, sub: Dataset) -> float:
@@ -76,36 +71,27 @@ class CvSpec:
         object.__setattr__(self, "grid", grid)
 
 
-@dataclass(frozen=True)
-class _FoldStats:
-    """Second moments of one fold, including mean response square for scoring."""
-
-    sigma: np.ndarray
-    m: np.ndarray
-    yy: float
-    n: int
-
-
 def _fold_split(d: Dataset, folds: int, rng: RngStream) -> list[np.ndarray]:
     perm = rng.permutation(d.n)
     return [np.sort(perm[j::folds]) for j in range(folds)]
 
 
-def _fold_stats(d: Dataset, idx: np.ndarray) -> _FoldStats:
+def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
+    """Statistics of the rows idx, plus their mean squared response for scoring."""
     x, y = d.x[idx], d.y[idx]
     n = len(idx)
-    return _FoldStats(sigma=x.T @ x / n, m=x.T @ y / n, yy=float(y @ y) / n, n=n)
+    return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
 
 
-def _train_stats(total: _FoldStats, heldout: _FoldStats) -> SufficientStats:
+def _train_stats(total: SufficientStats, heldout: SufficientStats) -> SufficientStats:
     n = total.n - heldout.n
     sigma = (total.n * total.sigma - heldout.n * heldout.sigma) / n
     m = (total.n * total.m - heldout.n * heldout.m) / n
     return SufficientStats(sigma=sigma, m=m, n=n)
 
 
-def _heldout_mse(theta: np.ndarray, fold: _FoldStats) -> float:
-    return float(fold.yy - 2.0 * theta @ fold.m + theta @ fold.sigma @ theta)
+def _heldout_mse(theta: np.ndarray, fold: SufficientStats, yy: float) -> float:
+    return float(yy - 2.0 * theta @ fold.m + theta @ fold.sigma @ theta)
 
 
 def cv_select(
@@ -132,35 +118,20 @@ def cv_select(
             f"need at least folds*(p+1) = {spec.folds * (sub.p + 1)} subsample"
             f" rows, got {sub.n}"
         )
-    w = model.weights()
-    st_f = compute_stats(forget) if forget.n else None
-    if method in ("uls+", "graddiff") and st_f is None:
-        st_f = SufficientStats(
-            sigma=np.zeros((sub.p, sub.p)), m=np.zeros(sub.p), n=0
-        )
-    st_full = compute_stats(sub)
-
-    fold_idx = _fold_split(sub, spec.folds, rng)
-    fold_stats = [_fold_stats(sub, idx) for idx in fold_idx]
-    total = _FoldStats(
-        sigma=st_full.sigma,
-        m=st_full.m,
-        yy=float(sub.y @ sub.y) / sub.n,
-        n=sub.n,
-    )
-
-    def fit(lam: float, train: SufficientStats) -> np.ndarray:
-        if method == "uls+":
-            return uls_plus_theta(model.theta_p, w.omega_f, w.omega_r, train, st_f, lam)
-        if method == "graddiff":
-            return graddiff_theta(train, st_f, lam)
-        return transfer_ridge_theta(model.theta_p, train, lam)
+    fit = SOLVERS[method].fit
+    full = prepare(model, forget, sub)
+    heldout = [_fold_stats(sub, idx) for idx in _fold_split(sub, spec.folds, rng)]
+    # one problem per training fold, so a factor free of lambda is formed once
+    folds = [
+        replace(full, st_sub=_train_stats(full.st_sub, st), sub=None)
+        for st, _ in heldout
+    ]
 
     def feasible_on_full(lam: float) -> bool:
         if method != "graddiff":
             return True
         try:
-            graddiff_theta(st_full, st_f, lam)
+            fit(full, lam)
         except IndefiniteObjective:
             return False
         return True
@@ -168,20 +139,16 @@ def cv_select(
     cv_table = []
     means = []
     for lam in spec.grid:
-        scores = []
         dead = not feasible_on_full(lam)
-        for j, held in enumerate(fold_stats):
-            if dead:
-                mse = math.inf
-            else:
+        for j, (train, (held, yy)) in enumerate(zip(folds, heldout)):
+            mse = math.inf
+            if not dead:
                 try:
-                    theta = fit(lam, _train_stats(total, held))
-                    mse = _heldout_mse(theta, held)
+                    mse = _heldout_mse(fit(train, lam).theta, held, yy)
                 except IndefiniteObjective:
-                    mse = math.inf
                     dead = True
             cv_table.append((lam, j, mse))
-        scores = [mse for lam2, j2, mse in cv_table[-spec.folds:]]
+        scores = [mse for _, _, mse in cv_table[-spec.folds:]]
         means.append(math.inf if dead else float(np.mean(scores)))
 
     best = min(means)

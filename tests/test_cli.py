@@ -354,3 +354,95 @@ def test_bench_repeat_byte_identical(bench_files):
         ])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_bench_all_methods_thread_count_invariance(bench_files):
+    paths, tmp = bench_files
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp / f"mpe_t{threads}.csv"
+        code = main([
+            "bench", "--remaining", str(paths["remaining"]),
+            "--forget", str(paths["forget"]), "--test", str(paths["test"]),
+            "--ratio", "0.3", "--seed", "5", "--threads", threads,
+            "--methods", "retrain,pretrain,ols,uls,uls+,graddiff,tl,gd",
+            "--out", str(out),
+        ])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].decode().splitlines()) == 9
+
+
+@pytest.fixture
+def p3_example(tmp_path):
+    """A p = 3 squared-loss model with forget rows and a 60-row subsample."""
+    rng = RngStream(12, 0)
+    x = rng.standard_normal((120, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(120)
+    xf = rng.standard_normal((15, 3))
+    yf = xf @ np.array([2.0, -1.0, 1.5]) + rng.standard_normal(15)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("full", "forget", "sub")}
+    _write_csv(paths["full"], np.vstack([x, xf]), np.concatenate([y, yf]))
+    _write_csv(paths["forget"], xf, yf)
+    _write_csv(paths["sub"], x[:60], y[:60])
+    paths["model"] = tmp_path / "model.json"
+    assert main(["pretrain", str(paths["full"]), "--n-forget", "15",
+                 "--out", str(paths["model"])]) == 0
+    return paths, tmp_path
+
+
+def test_unlearn_empty_forget_uls_plus_cv_scores_the_output(p3_example):
+    paths, tmp = p3_example
+    empty = tmp / "empty.csv"
+    empty.write_text("y,x1,x2,x3\n")
+    out, table = tmp / "noop.json", tmp / "cv.csv"
+    code = main([
+        "unlearn", "--model", str(paths["model"]), "--forget", str(empty),
+        "--sub", str(paths["sub"]), "--method", "uls+",
+        "--cv-table", str(table), "--out", str(out),
+    ])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["theta"] == json.loads(paths["model"].read_text())["theta"]
+    by_fold = {}
+    for line in table.read_text().splitlines()[1:]:
+        _, fold, mse = line.split(",")
+        by_fold.setdefault(fold, set()).add(mse)
+    assert len(by_fold) == 5
+    assert all(len(scores) == 1 for scores in by_fold.values())
+    # every lambda ties, and ties break toward the largest
+    assert payload["lambda_used"] == 1e4
+
+
+@pytest.mark.parametrize("method", ["ols", "uls", "uls+", "graddiff", "tl", "gd"])
+def test_unlearn_cli_library_and_table_agree(p3_example, method):
+    from ulskit import (
+        SQUARED, gd_unlearn, graddiff, load_csv, transfer_ridge, uls, uls_plus,
+    )
+    from ulskit.estimators import SOLVERS, prepare
+
+    paths, tmp = p3_example
+    out = tmp / f"{method}.json"
+    lam = 2.5
+    code = main([
+        "unlearn", "--model", str(paths["model"]), "--forget",
+        str(paths["forget"]), "--sub", str(paths["sub"]), "--method", method,
+        "--lam", str(lam), "--out", str(out),
+    ])
+    assert code == 0
+    model = load_model(paths["model"])
+    forget = load_csv(paths["forget"], role="forget")
+    sub = load_csv(paths["sub"], role="subsample")
+    library = {
+        "ols": lambda: ols_fit(sub),
+        "uls": lambda: uls(model, forget, sub),
+        "uls+": lambda: uls_plus(model, forget, sub, lam),
+        "graddiff": lambda: graddiff(model, forget, sub, lam),
+        "tl": lambda: transfer_ridge(model, sub, lam),
+        "gd": lambda: gd_unlearn(SQUARED, model, forget, sub),
+    }[method]().theta
+    table = SOLVERS[method].fit(prepare(model, forget, sub), lam).theta
+    cli = json.loads(out.read_text())["theta"]
+    assert cli == [float(v) for v in library]
+    assert np.array_equal(library, table)

@@ -1,0 +1,89 @@
+"""The solver table forms and factors each subsample Gram once per problem.
+
+The counts are taken by replacing `cholesky` and `compute_stats` under every
+name a ulskit module binds them to, as `from .numerics import cholesky` does.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from helpers import linear_instance
+from ulskit import (
+    RngStream,
+    SingularGram,
+    ci_uls,
+    cv_select,
+    data_model,
+    numerics,
+    transfer_ridge,
+    uls,
+)
+from ulskit.simulation import SimConfig, _run_rep, draw_truth
+from ulskit.tuning import CvSpec, log_grid
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counter of calls by name, plus the datasets compute_stats saw."""
+    tally = Counter()
+    seen = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            tally[fn.__name__] += 1
+            if fn.__name__ == "compute_stats":
+                seen.append(args[0])
+            return fn(*args, **kwargs)
+        return counted
+
+    for fn in (numerics.cholesky, data_model.compute_stats):
+        wrapper = counting(fn)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("ulskit"):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return tally, seen
+
+
+def test_ci_uls_forms_and_factors_the_sub_gram_once(calls):
+    model, _, forget, sub = linear_instance(3)
+    tally, seen = calls
+    tally.clear()
+    ci_uls(model, forget, sub, np.eye(model.p)[0])
+    assert sum(d is sub for d in seen) == 1
+    assert tally["cholesky"] == 1
+
+
+def test_replication_counts(calls):
+    cfg = SimConfig(n_r=400, n_f=40, p=5, subsample_ratio=0.3, reps=1,
+                    seed=4, methods=("uls", "ols"))
+    theta_r, theta_f = draw_truth(cfg, RngStream(cfg.seed, 0))
+    tally, _ = calls
+    records = _run_rep(cfg, 0, theta_r, theta_f, {})
+    assert all(r.error is not None and r.covered is not None for r in records)
+    assert tally["cholesky"] <= 3
+    assert tally["compute_stats"] == 2
+
+
+def test_cv_uls_plus_factors_each_fold_once(calls):
+    model, _, forget, sub = linear_instance(5, n_sub=200)
+    tally, _ = calls
+    tally.clear()
+    spec = CvSpec(folds=5, grid=tuple(log_grid(1e-4, 1e4, 20)))
+    _, table = cv_select("uls+", model, forget, sub, spec, RngStream(1, 1))
+    assert len(table) == 100
+    assert tally["cholesky"] == 5
+
+
+def test_sub_factor_is_formed_only_by_solvers_that_need_it():
+    # n_sub = 3 < p = 5: the subsample Gram is singular, which the ridge
+    # solver never factors, while uls must report it
+    model, _, forget, sub = linear_instance(6, n_sub=3)
+    fit = transfer_ridge(model, sub, 1.0)
+    assert np.all(np.isfinite(fit.theta))
+    with pytest.raises(SingularGram):
+        uls(model, forget, sub)

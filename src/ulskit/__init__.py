@@ -40,10 +40,12 @@ from .errors import (
 from .estimators import (
     EstimateResult,
     GdConfig,
+    Problem,
     default_step_size,
     gd_unlearn,
     graddiff,
     ols_fit,
+    prepare,
     pretrain,
     transfer_ridge,
     uls,

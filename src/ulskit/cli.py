@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .simulation import (
     METHODS,
     PRESETS,
     SimConfig,
+    _pool_map,
     method_theta,
     mpe,
     run_experiment,
@@ -51,10 +51,12 @@ EXIT_NUMERIC = 3
 
 
 def _threads(args) -> int | None:
+    """Pool size from ULS_THREADS, else --threads; None or 0 is the default."""
     env = os.environ.get("ULS_THREADS")
-    if env:
-        return int(env)
-    return getattr(args, "threads", None)
+    name, raw = ("ULS_THREADS", env) if env else ("--threads", args.threads)
+    if raw is not None and not str(raw).isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
+    return None if raw is None else int(raw)
 
 
 def _write_json(payload: dict, path) -> None:
@@ -74,6 +76,15 @@ def _cv_spec(args) -> CvSpec:
     )
 
 
+def _add_cv_flags(parser, defaults=(5, 1e-4, 1e4, 20)) -> None:
+    """The CV flags; simulate passes Nones so that its config decides."""
+    folds, lo, hi, size = defaults
+    parser.add_argument("--folds", type=int, default=folds)
+    parser.add_argument("--grid-lo", type=float, default=lo)
+    parser.add_argument("--grid-hi", type=float, default=hi)
+    parser.add_argument("--grid-size", type=int, default=size)
+
+
 def _cmd_pretrain(args) -> int:
     full = load_csv(args.full_csv, role="remaining")
     model = pretrain(get_loss(args.loss), full, n_forget=args.n_forget)
@@ -87,6 +98,8 @@ def _cmd_unlearn(args) -> int:
     forget = load_csv(args.forget, role="forget", expected_p=model.p)
     sub = load_csv(args.sub, role="subsample", expected_p=model.p)
     solver = SOLVERS[args.method]
+    cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
+    pb = prepare(model, forget, sub, cfg)
 
     cv_table = None
     if args.lam is not None:
@@ -94,15 +107,14 @@ def _cmd_unlearn(args) -> int:
     elif args.lam_rule == "plugin":
         if args.method != "uls+":
             raise ValueError("--lam-rule plugin is only defined for --method uls+")
-        lam = plugin_lambda(model, forget, sub)
+        lam = plugin_lambda(pb)
     elif solver.tuned:
         rng = RngStream(args.cv_seed, 0)
-        lam, cv_table = cv_select(args.method, model, forget, sub, _cv_spec(args), rng)
+        lam, cv_table = cv_select(args.method, pb, _cv_spec(args), rng)
     else:
         lam = None
 
-    cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
-    result = solver.fit(prepare(model, forget, sub, cfg), lam)
+    result = solver.fit(pb, lam)
 
     _write_json(result.to_json_dict(), args.out)
     if args.cv_table and cv_table is not None:
@@ -176,6 +188,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    threads = _threads(args)
     remaining = load_csv(args.remaining, role="remaining")
     forget = load_csv(args.forget, role="forget", expected_p=remaining.p)
     test = load_csv(args.test, role="test", expected_p=remaining.p)
@@ -199,19 +212,14 @@ def _cmd_bench(args) -> int:
         cv_rng = RngStream(args.seed, 2 + idx)
 
         def pick_lambda(method):
-            return cv_select(method, model, forget, sub, spec, cv_rng)[0]
+            return cv_select(method, pb, spec, cv_rng)[0]
 
         start = time.perf_counter()
         theta = method_theta(name, pb, st_r, pick_lambda)
         millis = (time.perf_counter() - start) * 1e3
         return name, mpe(theta, test), millis
 
-    workers = _threads(args) or (os.cpu_count() or 1)
-    if workers > 1 and len(methods) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(methods))) as pool:
-            rows = list(pool.map(run_one, enumerate(methods)))
-    else:
-        rows = [run_one(pair) for pair in enumerate(methods)]
+    rows = _pool_map(run_one, enumerate(methods), threads)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,mpe,millis\n")
@@ -249,10 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     u.add_argument("--lam-rule", choices=["cv", "plugin"], default="cv",
                    help="how to pick lambda when --lam is absent: cross-"
                         "validation, or the plug-in discrepancy rule (uls+)")
-    u.add_argument("--folds", type=int, default=5)
-    u.add_argument("--grid-lo", type=float, default=1e-4)
-    u.add_argument("--grid-hi", type=float, default=1e4)
-    u.add_argument("--grid-size", type=int, default=20)
+    _add_cv_flags(u)
     u.add_argument("--cv-seed", type=int, default=0)
     u.add_argument("--cv-table", default=None,
                    help="also write the lambda,fold,mse audit table here")
@@ -294,10 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle-lambda", action="store_true",
                    help="use the theory-guided lambda rules instead of CV")
     s.add_argument("--redraw-truth", action="store_true")
-    s.add_argument("--folds", type=int, default=None)
-    s.add_argument("--grid-lo", type=float, default=None)
-    s.add_argument("--grid-hi", type=float, default=None)
-    s.add_argument("--grid-size", type=int, default=None)
+    _add_cv_flags(s, (None,) * 4)
     s.add_argument("--threads", type=int, default=None)
     s.add_argument("--timing", action="store_true",
                    help="fill the millis columns (breaks byte reproducibility)")
@@ -312,10 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ratio", type=float, default=0.1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--methods", default=None)
-    b.add_argument("--folds", type=int, default=5)
-    b.add_argument("--grid-lo", type=float, default=1e-4)
-    b.add_argument("--grid-hi", type=float, default=1e4)
-    b.add_argument("--grid-size", type=int, default=20)
+    _add_cv_flags(b)
     b.add_argument("--threads", type=int, default=None)
     b.add_argument("--timing", action="store_true")
     b.add_argument("--out", required=True)
@@ -329,10 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaMismatch, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ParseError, SchemaMismatch, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UlsError as exc:

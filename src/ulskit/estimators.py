@@ -90,10 +90,13 @@ class GdConfig:
             raise ValueError("grad_tol must be positive")
 
 
-def _spd_factor(sigma) -> SpdFactor:
+def _spd_factor(st: SufficientStats) -> SpdFactor:
     """Cholesky factor of a Gram matrix; a singular one is a SingularGram."""
+    p = st.m.shape[0]
+    if st.n < p:
+        raise SingularGram(f"n={st.n} rows cannot identify p={p} coefficients")
     try:
-        return cholesky(sigma)
+        return cholesky(st.sigma)
     except NotPositiveDefinite as exc:
         raise SingularGram(str(exc)) from None
 
@@ -123,10 +126,11 @@ class Problem:
 
     ``model`` is None when only the subsample matters (OLS and its
     interval). ``sub`` and ``forget`` are the rows behind the statistics,
-    which gradient descent and the interval noise terms read; a
-    cross-validation fold problem has none. The subsample Cholesky factor is
-    computed on first use and then shared. It is lazy because the ridge and
-    GradDiff solvers never need it and must work when n_sub < p.
+    which gradient descent, the interval noise terms and the
+    cross-validation folds read; a fold problem has no ``sub``. The
+    subsample Cholesky factor is computed on first use and then shared. It
+    is lazy because the ridge and GradDiff solvers never need it and must
+    work when n_sub < p.
     """
 
     model: PretrainedModel | None
@@ -146,7 +150,7 @@ class Problem:
 
     @cached_property
     def sub_factor(self) -> SpdFactor:
-        return _spd_factor(self.st_sub.sigma)
+        return _spd_factor(self.st_sub)
 
 
 def prepare(
@@ -169,7 +173,7 @@ def prepare(
 
 
 def ols_theta(stats: SufficientStats) -> np.ndarray:
-    return spd_solve(_spd_factor(stats.sigma), stats.m)
+    return spd_solve(_spd_factor(stats), stats.m)
 
 
 def _require_squared(pb: Problem, name: str) -> None:
@@ -256,7 +260,10 @@ def _transfer_ridge(pb: Problem, lam) -> EstimateResult:
 
 def _gd(pb: Problem, lam=None) -> EstimateResult:
     f = get_loss(pb.model.loss_id)
-    return gd_unlearn(f, pb.model, pb.forget, pb.sub, pb.gd)
+    cfg = pb.gd
+    if cfg.alpha is None:
+        cfg = replace(cfg, alpha=_spectral_step(f, pb.model, pb.st_sub.sigma))
+    return gd_unlearn(f, pb.model, pb.forget, pb.sub, cfg)
 
 
 class Solver(NamedTuple):
@@ -286,10 +293,7 @@ SOLVERS = {
 
 def ols_fit(d: Dataset, method: str = "ols") -> EstimateResult:
     """Ordinary least squares via the normal equations."""
-    pb = prepare(None, None, d)
-    if d.n < d.p:
-        raise SingularGram(f"n={d.n} rows cannot identify p={d.p} coefficients")
-    return replace(SOLVERS["ols"].fit(pb), method=method)
+    return replace(SOLVERS["ols"].fit(prepare(None, None, d)), method=method)
 
 
 def uls(model: PretrainedModel, forget: Dataset, sub: Dataset) -> EstimateResult:
@@ -351,8 +355,11 @@ def default_step_size(f: LossFn, model: PretrainedModel, sub: Dataset) -> float:
     returned step keeps the iteration map a strict contraction either way.
     Lmax is computed exactly from the symmetric eigenvalues of sigma_sub.
     """
-    st = compute_stats(sub)
-    lam_max = max_eigenvalue(st.sigma)
+    return _spectral_step(f, model, compute_stats(sub).sigma)
+
+
+def _spectral_step(f: LossFn, model: PretrainedModel, sigma_sub) -> float:
+    lam_max = max_eigenvalue(sigma_sub)
     if lam_max <= 0.0:
         raise SingularGram("subsample Gram matrix has no positive spectrum")
     if f.loss_id == "squared":

@@ -276,7 +276,7 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     def pick_lambda(name: str) -> float:
         if cfg.oracle_lambda:
             return oracle[name]
-        lam, _ = cv_select(name, model, forget, sub, cfg.cv_spec(), cv_rng)
+        lam, _ = cv_select(name, pb, cfg.cv_spec(), cv_rng)
         return lam
 
     records = []
@@ -294,46 +294,41 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
         except UlsError:
             error = None
         millis = (time.perf_counter() - start) * 1e3
-        records.append(
-            RepRecord(
-                rep=rep,
-                method=name,
-                error=error,
-                covered=covered,
-                sd_hat=sd_hat,
-                millis=millis,
-            )
-        )
+        records.append(RepRecord(rep, name, error, covered, sd_hat, millis))
     return records
 
 
 def run_experiment(cfg: SimConfig, threads: int | None = None):
     """Run all replications; returns (records, summary).
 
-    ``threads`` sizes the worker pool (defaults to the machine's CPU count);
-    the output is byte-identical for every choice because each replication
-    derives its randomness from its own index.
+    ``threads`` sizes the worker pool as in :func:`_pool_map`; the output is
+    byte-identical for every choice because each replication derives its
+    randomness from its own index.
     """
     truth_rng = RngStream(cfg.seed, 0)
     theta_r, theta_f = draw_truth(cfg, truth_rng)
     oracle = _oracle_lambdas(cfg)
-    workers = threads if threads and threads > 0 else (cpu_count() or 1)
-    workers = min(workers, cfg.reps)
-
-    per_rep: list = [None] * cfg.reps
-    if workers <= 1:
-        for rep in range(cfg.reps):
-            per_rep[rep] = _run_rep(cfg, rep, theta_r, theta_f, oracle)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_rep, cfg, rep, theta_r, theta_f, oracle): rep
-                for rep in range(cfg.reps)
-            }
-            for future, rep in futures.items():
-                per_rep[rep] = future.result()
+    per_rep = _pool_map(
+        lambda rep: _run_rep(cfg, rep, theta_r, theta_f, oracle),
+        range(cfg.reps),
+        threads,
+    )
     records = [record for chunk in per_rep for record in chunk]
     return records, summarize(cfg, records)
+
+
+def _pool_map(fn, items, threads: int | None) -> list:
+    """``[fn(item) for item in items]`` on ``threads`` pool workers, in order.
+
+    ``threads`` None or below 1 means the CPU count; one worker runs inline.
+    """
+    items = list(items)
+    workers = threads if threads and threads > 0 else (cpu_count() or 1)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def summarize(cfg: SimConfig, records) -> SimSummary:

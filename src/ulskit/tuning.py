@@ -1,11 +1,14 @@
-"""Cross-validated selection of the regularization weight lambda.
+"""Selection of the regularization weight lambda on a prepared problem.
 
-The subsample is split into shuffled round-robin folds; each candidate
-lambda is fitted on the training folds and scored by squared prediction
-error on the held-out fold. Ties break toward the larger (more conservative)
-lambda. GradDiff candidates whose objective is indefinite on a training fold
-or on the full subsample are skipped with an infinite score rather than
-failing the search.
+Both rules read an :class:`~ulskit.estimators.Problem`, so a tuned fit forms
+its Gram matrices once, in :func:`~ulskit.estimators.prepare`.
+:func:`cv_select` splits the problem's subsample rows into shuffled
+round-robin folds; each candidate lambda is fitted on the training folds and
+scored by squared prediction error on the held-out fold. Ties break toward
+the larger (more conservative) lambda. GradDiff candidates whose objective is
+indefinite on a training fold or on the full subsample are skipped with an
+infinite score rather than failing the search. :func:`plugin_lambda` is the
+closed-form alternative for uls+.
 """
 
 from __future__ import annotations
@@ -15,27 +18,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data_model import Dataset, PretrainedModel, SufficientStats
+from .data_model import Dataset, SufficientStats
 from .errors import IndefiniteObjective, InsufficientData, NoFeasibleLambda
-from .estimators import SOLVERS, ols_fit, prepare
+from .estimators import SOLVERS, Problem, ols_theta
 from .numerics import RngStream
 
 CV_METHODS = tuple(name for name, solver in SOLVERS.items() if solver.tuned)
 
 
-def plugin_lambda(model: PretrainedModel, forget: Dataset, sub: Dataset) -> float:
+def plugin_lambda(pb: Problem) -> float:
     """Plug-in retain weight for the robustified estimator.
 
     Estimates the model discrepancy as the gap between separate least-squares
     fits of the subsample and the forget set, then returns
     omega_r * omega_f * delta_hat. Needs enough forget rows for their own
     fit (n_f >= p); cross-validation is the alternative when there are not.
+    With no forget rows there is nothing to weigh against, and lambda is 0.
     """
-    delta_hat = float(
-        np.linalg.norm(ols_fit(sub).theta - ols_fit(forget).theta)
-    )
-    w = model.weights()
-    return w.omega_r * w.omega_f * delta_hat
+    if pb.st_f.n == 0:
+        return 0.0
+    theta_sub = SOLVERS["ols"].fit(pb).theta  # reuses the subsample factor
+    delta_hat = float(np.linalg.norm(theta_sub - ols_theta(pb.st_f)))
+    return pb.w.omega_r * pb.w.omega_f * delta_hat
 
 
 def log_grid(lo: float, hi: float, k: int) -> list[float]:
@@ -71,11 +75,6 @@ class CvSpec:
         object.__setattr__(self, "grid", grid)
 
 
-def _fold_split(d: Dataset, folds: int, rng: RngStream) -> list[np.ndarray]:
-    perm = rng.permutation(d.n)
-    return [np.sort(perm[j::folds]) for j in range(folds)]
-
-
 def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
     """Statistics of the rows idx, plus their mean squared response for scoring."""
     x, y = d.x[idx], d.y[idx]
@@ -96,16 +95,15 @@ def _heldout_mse(theta: np.ndarray, fold: SufficientStats, yy: float) -> float:
 
 def cv_select(
     method: str,
-    model: PretrainedModel,
-    forget: Dataset,
-    sub: Dataset,
+    pb: Problem,
     spec: CvSpec = CvSpec(),
     rng: RngStream | None = None,
 ):
-    """Pick the grid lambda minimizing mean held-out MSE.
+    """Pick the grid lambda minimizing mean held-out MSE on ``pb.sub``.
 
-    Returns ``(lam, cv_table)`` where the table rows are
-    ``(lam, fold_index, mse)`` for audit. Raises
+    Each fold problem is ``pb`` with the training-fold statistics as
+    ``st_sub``; nothing is prepared again. Returns ``(lam, cv_table)`` where
+    the table rows are ``(lam, fold_index, mse)`` for audit. Raises
     :class:`NoFeasibleLambda` when every candidate is infeasible and
     :class:`InsufficientData` when the subsample cannot support the folds.
     """
@@ -113,17 +111,19 @@ def cv_select(
         raise ValueError(f"unknown CV method {method!r}; expected {CV_METHODS}")
     if rng is None:
         rng = RngStream(0, 0)
+    sub = pb.sub
     if sub.n < spec.folds * (sub.p + 1):
         raise InsufficientData(
             f"need at least folds*(p+1) = {spec.folds * (sub.p + 1)} subsample"
             f" rows, got {sub.n}"
         )
     fit = SOLVERS[method].fit
-    full = prepare(model, forget, sub)
-    heldout = [_fold_stats(sub, idx) for idx in _fold_split(sub, spec.folds, rng)]
+    perm = rng.permutation(sub.n)  # shuffled round-robin folds
+    held_idx = [np.sort(perm[j::spec.folds]) for j in range(spec.folds)]
+    heldout = [_fold_stats(sub, idx) for idx in held_idx]
     # one problem per training fold, so a factor free of lambda is formed once
     folds = [
-        replace(full, st_sub=_train_stats(full.st_sub, st), sub=None)
+        replace(pb, st_sub=_train_stats(pb.st_sub, st), sub=None)
         for st, _ in heldout
     ]
 
@@ -131,7 +131,7 @@ def cv_select(
         if method != "graddiff":
             return True
         try:
-            fit(full, lam)
+            fit(pb, lam)
         except IndefiniteObjective:
             return False
         return True
@@ -153,9 +153,7 @@ def cv_select(
 
     best = min(means)
     if math.isinf(best):
-        raise NoFeasibleLambda(
-            "every grid lambda failed the definiteness check"
-        )
+        raise NoFeasibleLambda("every grid lambda failed the definiteness check")
     # ties break toward the larger lambda
     chosen = max(lam for lam, mean in zip(spec.grid, means) if mean == best)
     return chosen, cv_table

@@ -107,7 +107,9 @@ def test_unlearn_indefinite_graddiff(tmp_path, capsys):
 
 
 def test_unlearn_plugin_lambda_rule(tmp_path):
-    from ulskit import concat_datasets, load_csv, plugin_lambda, pretrain
+    from ulskit import (
+        concat_datasets, load_csv, plugin_lambda, prepare, pretrain,
+    )
 
     rng = RngStream(5, 0)
     x = rng.standard_normal((200, 3))
@@ -134,7 +136,7 @@ def test_unlearn_plugin_lambda_rule(tmp_path):
     forget = load_csv(forget_csv, role="forget")
     sub = load_csv(sub_csv, role="subsample")
     assert payload["lambda_used"] == pytest.approx(
-        plugin_lambda(model, forget, sub), rel=1e-12
+        plugin_lambda(prepare(model, forget, sub)), rel=1e-12
     )
     # plugin rule with a method that has no such rule is a usage error
     assert main([
@@ -446,3 +448,53 @@ def test_unlearn_cli_library_and_table_agree(p3_example, method):
     cli = json.loads(out.read_text())["theta"]
     assert cli == [float(v) for v in library]
     assert np.array_equal(library, table)
+
+
+def test_unlearn_plugin_rule_on_empty_forget_is_a_noop(p3_example):
+    # lambda = omega_r * omega_f * delta_hat is 0 when there is nothing to forget
+    paths, tmp = p3_example
+    empty = tmp / "empty.csv"
+    empty.write_text("y,x1,x2,x3\n")
+    out = tmp / "noop.json"
+    code = main([
+        "unlearn", "--model", str(paths["model"]), "--forget", str(empty),
+        "--sub", str(paths["sub"]), "--method", "uls+", "--lam-rule", "plugin",
+        "--out", str(out),
+    ])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["theta"] == json.loads(paths["model"].read_text())["theta"]
+    assert payload["lambda_used"] == 0.0
+
+
+def test_simulate_negative_threads_exit_code(tmp_path, capsys):
+    code = main([
+        "simulate", "--nr", "300", "--nf", "30", "--p", "4", "--reps", "2",
+        "--threads", "-4", "--records", str(tmp_path / "r.csv"),
+        "--summary", str(tmp_path / "s.json"),
+    ])
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_bench_negative_threads_exit_code(bench_files, capsys):
+    paths, tmp = bench_files
+    code = main([
+        "bench", "--remaining", str(paths["remaining"]),
+        "--forget", str(paths["forget"]), "--test", str(paths["test"]),
+        "--threads", "-4", "--out", str(tmp / "mpe.csv"),
+    ])
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_non_integer_env_threads_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ULS_THREADS", "abc")
+    records, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    code = main([
+        "simulate", "--nr", "300", "--nf", "30", "--p", "4", "--reps", "2",
+        "--records", str(records), "--summary", str(summary),
+    ])
+    assert code == 2
+    assert "ULS_THREADS" in capsys.readouterr().err
+    assert not records.exists()

@@ -1,4 +1,5 @@
-"""The solver table forms and factors each subsample Gram once per problem.
+"""The solver table forms and factors each subsample Gram once per problem,
+and tuning reads that problem instead of forming its Grams again.
 
 The counts are taken by replacing `cholesky` and `compute_stats` under every
 name a ulskit module binds them to, as `from .numerics import cholesky` does.
@@ -18,9 +19,14 @@ from ulskit import (
     cv_select,
     data_model,
     numerics,
+    prepare,
+    save_csv,
+    save_model,
     transfer_ridge,
     uls,
 )
+from ulskit.cli import main
+from ulskit.estimators import SOLVERS
 from ulskit.simulation import SimConfig, _run_rep, draw_truth
 from ulskit.tuning import CvSpec, log_grid
 
@@ -74,7 +80,7 @@ def test_cv_uls_plus_factors_each_fold_once(calls):
     tally, _ = calls
     tally.clear()
     spec = CvSpec(folds=5, grid=tuple(log_grid(1e-4, 1e4, 20)))
-    _, table = cv_select("uls+", model, forget, sub, spec, RngStream(1, 1))
+    _, table = cv_select("uls+", prepare(model, forget, sub), spec, RngStream(1, 1))
     assert len(table) == 100
     assert tally["cholesky"] == 5
 
@@ -87,3 +93,43 @@ def test_sub_factor_is_formed_only_by_solvers_that_need_it():
     assert np.all(np.isfinite(fit.theta))
     with pytest.raises(SingularGram):
         uls(model, forget, sub)
+
+
+def test_tuned_replication_forms_the_grams_once(calls):
+    # the sim_tuned method set: the CV of uls+, graddiff and tl and the GD
+    # step size all read the replication's problem
+    cfg = SimConfig(n_r=400, n_f=40, p=5, subsample_ratio=0.5, reps=1,
+                    seed=4, methods=("uls", "uls+", "graddiff", "tl", "gd"))
+    theta_r, theta_f = draw_truth(cfg, RngStream(cfg.seed, 0))
+    tally, _ = calls
+    tally.clear()
+    records = _run_rep(cfg, 0, theta_r, theta_f, {})
+    assert all(r.error is not None for r in records)
+    assert tally["compute_stats"] == 2
+    assert tally["cholesky"] == 180
+
+
+def test_cli_unlearn_uls_plus_cv_forms_the_grams_once(calls, tmp_path):
+    model, _, forget, sub = linear_instance(7, n_sub=200)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("forget", "sub")}
+    save_csv(forget, paths["forget"])
+    save_csv(sub, paths["sub"])
+    save_model(model, tmp_path / "model.json")
+    tally, _ = calls
+    tally.clear()
+    assert main([
+        "unlearn", "--model", str(tmp_path / "model.json"),
+        "--forget", str(paths["forget"]), "--sub", str(paths["sub"]),
+        "--method", "uls+", "--out", str(tmp_path / "r.json"),
+    ]) == 0
+    assert tally["compute_stats"] == 2
+
+
+def test_gd_solver_forms_no_gram_beyond_prepare(calls):
+    model, _, forget, sub = linear_instance(8)
+    pb = prepare(model, forget, sub)
+    tally, _ = calls
+    tally.clear()
+    fit = SOLVERS["gd"].fit(pb)
+    assert fit.iterations > 0
+    assert tally["compute_stats"] == 0

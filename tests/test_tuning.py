@@ -16,6 +16,7 @@ from ulskit import (
     log_grid,
     ols_fit,
     plugin_lambda,
+    prepare,
     transfer_ridge,
     uls_plus,
 )
@@ -40,7 +41,7 @@ def test_log_grid_two_points():
 def test_single_candidate_grid():
     model, _, forget, sub = linear_instance(0, n_sub=120)
     spec = CvSpec(folds=4, grid=(2.0,))
-    lam, table = cv_select("tl", model, forget, sub, spec, RngStream(0, 9))
+    lam, table = cv_select("tl", prepare(model, forget, sub), spec, RngStream(0, 9))
     assert lam == 2.0
     assert len(table) == 4
     assert all(math.isfinite(mse) for _, _, mse in table)
@@ -49,15 +50,15 @@ def test_single_candidate_grid():
 def test_cv_deterministic():
     model, _, forget, sub = linear_instance(1, n_sub=150)
     spec = CvSpec(folds=5, grid=tuple(log_grid(1e-3, 1e3, 8)))
-    first = cv_select("uls+", model, forget, sub, spec, RngStream(3, 1))
-    second = cv_select("uls+", model, forget, sub, spec, RngStream(3, 1))
+    first = cv_select("uls+", prepare(model, forget, sub), spec, RngStream(3, 1))
+    second = cv_select("uls+", prepare(model, forget, sub), spec, RngStream(3, 1))
     assert first == second
 
 
 def test_selected_lambda_minimizes_table_mean():
     model, _, forget, sub = linear_instance(2, n_sub=150)
     spec = CvSpec(folds=5, grid=tuple(log_grid(1e-3, 1e3, 10)))
-    lam, table = cv_select("tl", model, forget, sub, spec, RngStream(5, 1))
+    lam, table = cv_select("tl", prepare(model, forget, sub), spec, RngStream(5, 1))
     means = {}
     for grid_lam, _, mse in table:
         means.setdefault(grid_lam, []).append(mse)
@@ -69,13 +70,13 @@ def test_graddiff_infeasible_grid():
     model, _, forget, sub = linear_instance(3, n_sub=150)
     spec = CvSpec(folds=5, grid=(1e-8, 1e-7, 1e-6))
     with pytest.raises(NoFeasibleLambda):
-        cv_select("graddiff", model, forget, sub, spec, RngStream(0, 0))
+        cv_select("graddiff", prepare(model, forget, sub), spec, RngStream(0, 0))
 
 
 def test_graddiff_selected_lambda_feasible_on_full_subsample():
     model, _, forget, sub = linear_instance(4, n_sub=200)
     spec = CvSpec(folds=5, grid=tuple(log_grid(1e-4, 1e4, 20)))
-    lam, _ = cv_select("graddiff", model, forget, sub, spec, RngStream(1, 1))
+    lam, _ = cv_select("graddiff", prepare(model, forget, sub), spec, RngStream(1, 1))
     graddiff(model, forget, sub, lam)  # must not raise IndefiniteObjective
 
 
@@ -83,7 +84,7 @@ def test_insufficient_rows():
     model, _, forget, sub = linear_instance(5, n_sub=20, p=5)
     spec = CvSpec(folds=5, grid=(1.0, 2.0))
     with pytest.raises(InsufficientData):
-        cv_select("uls+", model, forget, sub, spec, RngStream(0, 0))
+        cv_select("uls+", prepare(model, forget, sub), spec, RngStream(0, 0))
 
 
 def _brute_force_cv(method, model, forget, sub, spec, rng):
@@ -113,7 +114,7 @@ def _brute_force_cv(method, model, forget, sub, spec, rng):
 def test_cv_matches_brute_force(method):
     model, _, forget, sub = linear_instance(6, n_r=600, n_f=60, n_sub=180)
     spec = CvSpec(folds=3, grid=tuple(log_grid(1e-2, 1e2, 7)))
-    lam, _ = cv_select(method, model, forget, sub, spec, RngStream(8, 1))
+    lam, _ = cv_select(method, prepare(model, forget, sub), spec, RngStream(8, 1))
     oracle = _brute_force_cv(method, model, forget, sub, spec, RngStream(8, 1))
     assert lam == oracle
 
@@ -124,13 +125,13 @@ def test_uls_plus_cv_prefers_retain_term_under_large_shift():
         7, n_r=600, n_f=300, n_sub=200, delta=25.0
     )
     spec = CvSpec(folds=5, grid=tuple(log_grid(1e-4, 1e4, 20)))
-    lam, _ = cv_select("uls+", model, forget, sub, spec, RngStream(2, 1))
+    lam, _ = cv_select("uls+", prepare(model, forget, sub), spec, RngStream(2, 1))
     assert lam > spec.grid[0]
 
 
 def test_plugin_lambda_definition():
     model, _, forget, sub = linear_instance(8, n_r=600, n_f=80, n_sub=200)
-    lam = plugin_lambda(model, forget, sub)
+    lam = plugin_lambda(prepare(model, forget, sub))
     w = model.weights()
     delta_hat = np.linalg.norm(ols_fit(sub).theta - ols_fit(forget).theta)
     assert lam == pytest.approx(w.omega_r * w.omega_f * delta_hat, rel=1e-12)
@@ -142,7 +143,7 @@ def test_plugin_lambda_tracks_true_discrepancy():
         9, n_r=4000, n_f=500, p=4, n_sub=1500, delta=5.0
     )
     w = model.weights()
-    lam = plugin_lambda(model, forget, sub)
+    lam = plugin_lambda(prepare(model, forget, sub))
     # delta_hat estimates the true shift of 5, so lam should sit near the
     # omega_r*omega_f*delta oracle value
     oracle = w.omega_r * w.omega_f * 5.0

@@ -19,14 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .data_model import (
-    compute_stats,
-    concat_datasets,
-    load_csv,
-    load_model,
-    save_model,
-    subsample,
-)
+from .data_model import compute_stats, load_csv, load_model, save_model, subsample
 from .errors import ParseError, SchemaMismatch, UlsError
 from .estimators import SOLVERS, GdConfig, prepare, pretrain
 from .inference import INTERVALS, ci_ols, ci_uls
@@ -39,6 +32,7 @@ from .simulation import (
     _pool_map,
     method_theta,
     mpe,
+    pooled_problem,
     run_experiment,
     write_records,
     write_summary,
@@ -63,10 +57,6 @@ def _write_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _read_vector(path) -> np.ndarray:
-    return np.atleast_1d(np.loadtxt(path, dtype=np.float64))
 
 
 def _cv_spec(args) -> CvSpec:
@@ -134,7 +124,11 @@ def _cmd_infer(args) -> int:
             raise ValueError(f"--coord must lie in [1, {sub.p}]")
         v[args.coord - 1] = 1.0
     else:
-        v = _read_vector(args.v_file)
+        v = np.atleast_1d(np.loadtxt(args.v_file, dtype=np.float64))
+        if v.shape != (sub.p,):
+            raise SchemaMismatch(
+                f"{args.v_file}: direction has {v.size} entries, expected {sub.p}"
+            )
 
     if args.method == "ols":
         report = ci_ols(sub, v, args.alpha)
@@ -189,17 +183,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     threads = _threads(args)
+    if not 0.0 < args.ratio <= 1.0:
+        raise ValueError(f"--ratio must lie in (0, 1], got {args.ratio}")
     remaining = load_csv(args.remaining, role="remaining")
     forget = load_csv(args.forget, role="forget", expected_p=remaining.p)
     test = load_csv(args.test, role="test", expected_p=remaining.p)
 
-    full = concat_datasets([remaining, forget], role="remaining")
-    model = pretrain(get_loss("squared"), full, n_forget=forget.n)
     n_sub = max(1, int(round(args.ratio * remaining.n)))
     sub = subsample(remaining, n_sub, RngStream(args.seed, 1))
     spec = _cv_spec(args)
-    pb = prepare(model, forget, sub)
     st_r = compute_stats(remaining)
+    pb = pooled_problem(st_r, compute_stats(sub), forget, sub)
 
     # the retrained oracle rides along by default; an explicit list is final
     if args.methods:

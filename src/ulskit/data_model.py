@@ -78,11 +78,26 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Normalized second moments of a dataset: sigma = X'X/n, m = X'y/n."""
+    """Normalized second moments of a dataset: sigma = X'X/n, m = X'y/n.
+
+    ``a + b`` pools two disjoint row sets; ``a - b`` removes the subset ``b``.
+    """
 
     sigma: np.ndarray
     m: np.ndarray
     n: int
+
+    def __add__(self, other: "SufficientStats") -> "SufficientStats":
+        return self._merge(other, other.n)
+
+    def __sub__(self, other: "SufficientStats") -> "SufficientStats":
+        return self._merge(other, -other.n)
+
+    def _merge(self, other: "SufficientStats", k: int) -> "SufficientStats":
+        n = self.n + k
+        sigma = (self.n * self.sigma + k * other.sigma) / n
+        m = (self.n * self.m + k * other.m) / n
+        return SufficientStats(sigma=sigma, m=m, n=n)
 
 
 @dataclass(frozen=True)
@@ -229,36 +244,39 @@ def load_csv(path, role: str = "remaining", expected_p: int | None = None) -> Da
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(f"{path}: file is empty") from None
-        p = _check_header(header, path)
-        if expected_p is not None and p != expected_p:
-            raise SchemaMismatch(f"{path}: expected p={expected_p}, file has p={p}")
-        ys = []
-        rows = []
-        for row_idx, fields in enumerate(reader, start=2):
-            if len(fields) != p + 1:
-                raise ParseError(
-                    f"{path}: row {row_idx} has {len(fields)} fields, expected {p + 1}"
-                )
-            values = np.empty(p + 1)
-            for col_idx, cell in enumerate(fields, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaMismatch(f"{path}: file is empty")
+            p = _check_header(header, path)
+            if expected_p is not None and p != expected_p:
+                raise SchemaMismatch(f"{path}: expected p={expected_p}, file has p={p}")
+            ys = []
+            rows = []
+            for row_idx, fields in enumerate(reader, start=2):
+                if len(fields) != p + 1:
                     raise ParseError(
-                        f"{path}: row {row_idx}, column {col_idx}:"
-                        f" cannot parse {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {row_idx}, column {col_idx}:"
-                        f" non-finite value {cell!r}"
+                        f"{path}: row {row_idx} has {len(fields)} fields,"
+                        f" expected {p + 1}"
                     )
-                values[col_idx - 1] = value
-            ys.append(values[0])
-            rows.append(values[1:])
+                values = np.empty(p + 1)
+                for col_idx, cell in enumerate(fields, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: row {row_idx}, column {col_idx}:"
+                            f" cannot parse {cell!r}"
+                        ) from None
+                    if not np.isfinite(value):
+                        raise ParseError(
+                            f"{path}: row {row_idx}, column {col_idx}:"
+                            f" non-finite value {cell!r}"
+                        )
+                    values[col_idx - 1] = value
+                ys.append(values[0])
+                rows.append(values[1:])
+        except csv.Error as exc:  # e.g. a cell over the field size limit
+            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
     if rows:
         x = np.vstack(rows)
         y = np.asarray(ys)
@@ -273,10 +291,7 @@ def save_csv(d: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         header = "y," + ",".join(f"x{j}" for j in range(1, d.p + 1))
         fh.write(header + "\n")
-        for i in range(d.n):
-            cells = [format(d.y[i], ".17g")]
-            cells.extend(format(v, ".17g") for v in d.x[i])
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, np.column_stack([d.y, d.x]), fmt="%.17g", delimiter=",")
 
 
 def save_model(model: PretrainedModel, path) -> None:
@@ -298,6 +313,8 @@ def load_model(path) -> PretrainedModel:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaMismatch(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise SchemaMismatch(f"{path}: model JSON must be an object")
     required = {"theta", "n_total", "n_remaining", "n_forget", "loss"}
     missing = required - set(payload)
     if missing:
@@ -310,5 +327,5 @@ def load_model(path) -> PretrainedModel:
             n_forget=int(payload["n_forget"]),
             loss_id=str(payload["loss"]),
         )
-    except (ValueError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None

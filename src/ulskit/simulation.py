@@ -229,11 +229,17 @@ def _oracle_lambdas(cfg: SimConfig) -> dict:
     return rules
 
 
-def _pooled_theta(st_r, st_f, n_r, n_f):
-    n = n_r + n_f
-    sigma = (n_r * st_r.sigma + n_f * st_f.sigma) / n
-    m = (n_r * st_r.m + n_f * st_f.m) / n
-    return ols_theta(SufficientStats(sigma=sigma, m=m, n=n))
+def pooled_problem(st_r, st_sub, forget: Dataset, sub: Dataset) -> Problem:
+    """The problem of a model fitted by least squares on ``st_r + st_f``, the
+    pooled remaining and forget statistics; ``st_sub`` are those of ``sub``."""
+    st_f = forget_stats(forget, sub.p)
+    model = PretrainedModel(
+        theta_p=ols_theta(st_r + st_f),
+        n_total=st_r.n + st_f.n,
+        n_remaining=st_r.n,
+        n_forget=st_f.n,
+    )
+    return Problem(model=model, st_sub=st_sub, st_f=st_f, sub=sub, forget=forget)
 
 
 def method_theta(name: str, pb: Problem, st_r, pick_lambda) -> np.ndarray:
@@ -259,15 +265,7 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     if cfg.redraw_truth:
         theta_r, theta_f = draw_truth(cfg, data_rng)
     st_r, st_sub, forget, sub = draw_rep_stats(cfg, theta_r, theta_f, data_rng)
-    st_f = forget_stats(forget, cfg.p)
-    model = PretrainedModel(
-        theta_p=_pooled_theta(st_r, st_f, cfg.n_r, cfg.n_f),
-        n_total=cfg.n_r + cfg.n_f,
-        n_remaining=cfg.n_r,
-        n_forget=cfg.n_f,
-        loss_id="squared",
-    )
-    pb = Problem(model=model, st_sub=st_sub, st_f=st_f, sub=sub, forget=forget)
+    pb = pooled_problem(st_r, st_sub, forget, sub)
     v_idx = cfg.v_direction - 1
     v = np.zeros(cfg.p)
     v[v_idx] = 1.0

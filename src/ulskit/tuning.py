@@ -82,13 +82,6 @@ def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
     return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
 
 
-def _train_stats(total: SufficientStats, heldout: SufficientStats) -> SufficientStats:
-    n = total.n - heldout.n
-    sigma = (total.n * total.sigma - heldout.n * heldout.sigma) / n
-    m = (total.n * total.m - heldout.n * heldout.m) / n
-    return SufficientStats(sigma=sigma, m=m, n=n)
-
-
 def _heldout_mse(theta: np.ndarray, fold: SufficientStats, yy: float) -> float:
     return float(yy - 2.0 * theta @ fold.m + theta @ fold.sigma @ theta)
 
@@ -122,10 +115,7 @@ def cv_select(
     held_idx = [np.sort(perm[j::spec.folds]) for j in range(spec.folds)]
     heldout = [_fold_stats(sub, idx) for idx in held_idx]
     # one problem per training fold, so a factor free of lambda is formed once
-    folds = [
-        replace(pb, st_sub=_train_stats(pb.st_sub, st), sub=None)
-        for st, _ in heldout
-    ]
+    folds = [replace(pb, st_sub=pb.st_sub - held, sub=None) for held, _ in heldout]
 
     def feasible_on_full(lam: float) -> bool:
         if method != "graddiff":

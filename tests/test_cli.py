@@ -498,3 +498,65 @@ def test_non_integer_env_threads_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "ULS_THREADS" in capsys.readouterr().err
     assert not records.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    "5",
+    "null",
+    '{"theta": {"a": 1}, "n_total": 3, "n_remaining": 2, "n_forget": 1,'
+    ' "loss": "squared"}',
+    '{"theta": [2.0], "n_total": null, "n_remaining": 2, "n_forget": 1,'
+    ' "loss": "squared"}',
+    '{"theta": [2.0], "n_total": [50], "n_remaining": 2, "n_forget": 1,'
+    ' "loss": "squared"}',
+], ids=["number", "null", "theta-object", "n_total-null", "n_total-list"])
+def test_malformed_model_json_exit_code(worked_example, payload, capsys):
+    model, forget, sub, tmp = worked_example
+    model.write_text(payload)
+    code = main([
+        "unlearn", "--model", str(model), "--forget", str(forget),
+        "--sub", str(sub), "--out", str(tmp / "r.json"),
+    ])
+    assert code == 2
+    assert "SchemaMismatch" in capsys.readouterr().err
+
+
+def test_overlong_csv_cell_exit_code(worked_example, tmp_path, capsys):
+    model, forget, _, tmp = worked_example
+    sub = tmp_path / "long.csv"
+    sub.write_text("y,x1\n1.0," + "2" * 200_000 + "\n")
+    code = main([
+        "unlearn", "--model", str(model), "--forget", str(forget),
+        "--sub", str(sub), "--out", str(tmp / "r.json"),
+    ])
+    assert code == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+def test_infer_v_file_wrong_length_exit_code(p3_example, capsys):
+    paths, tmp = p3_example
+    vfile = tmp / "v.txt"
+    vfile.write_text("1.0\n0.0\n")
+    code = main([
+        "infer", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+        "--sub", str(paths["sub"]), "--v-file", str(vfile),
+        "--out", str(tmp / "r.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "SchemaMismatch" in err and "v.txt" in err and "2 entries" in err
+
+
+@pytest.mark.parametrize("ratio", ["1.5", "0", "-0.2"])
+def test_bench_ratio_out_of_range_exit_code(bench_files, ratio, capsys):
+    paths, tmp = bench_files
+    out = tmp / "mpe.csv"
+    code = main([
+        "bench", "--remaining", str(paths["remaining"]),
+        "--forget", str(paths["forget"]), "--test", str(paths["test"]),
+        "--ratio", ratio, "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "--ratio" in err
+    assert not out.exists()

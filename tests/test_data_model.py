@@ -13,6 +13,7 @@ from ulskit import (
     SubsampleTooLarge,
     WeightProfile,
     compute_stats,
+    concat_datasets,
     load_csv,
     load_model,
     save_csv,
@@ -55,6 +56,22 @@ def test_stats_permutation_invariant(seed):
     shuffled = compute_stats(Dataset(x[perm], y[perm]))
     assert np.max(np.abs(shuffled.sigma - base.sigma)) <= 1e-12
     assert np.max(np.abs(shuffled.m - base.m)) <= 1e-12
+
+
+def test_stats_pool_and_remove():
+    rng = RngStream(8, 0)
+    a = Dataset(rng.standard_normal((30, 4)), rng.standard_normal(30))
+    b = Dataset(rng.standard_normal((11, 4)), rng.standard_normal(11), "forget")
+    st_a, st_b = compute_stats(a), compute_stats(b)
+    pooled = st_a + st_b
+    stacked = compute_stats(concat_datasets([a, b], "remaining"))
+    assert pooled.n == stacked.n == 41
+    assert_allclose(pooled.sigma, stacked.sigma, rtol=1e-12)
+    assert_allclose(pooled.m, stacked.m, rtol=1e-12)
+    back = pooled - st_b
+    assert back.n == 30
+    assert_allclose(back.sigma, st_a.sigma, rtol=1e-12)
+    assert_allclose(back.m, st_a.m, rtol=1e-12)
 
 
 def test_empty_only_for_forget():
@@ -153,6 +170,34 @@ def test_csv_garbage_cell(tmp_path):
     path.write_text("y,x1\nhello,2.0\n")
     with pytest.raises(ParseError, match="row 2, column 1"):
         load_csv(path)
+
+
+def test_csv_overlong_cell_named(tmp_path):
+    # longer than the csv module's field size limit (131072 characters)
+    path = tmp_path / "long.csv"
+    path.write_text("y,x1\n1.0,2.0\n3.0," + "4" * 200_000 + "\n")
+    with pytest.raises(ParseError, match="row 3"):
+        load_csv(path)
+
+
+def test_csv_extreme_values_roundtrip(tmp_path):
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1e308, 0.1, -2.5])
+    d = Dataset(values[:, None], values[::-1].copy())
+    path = tmp_path / "extreme.csv"
+    save_csv(d, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "-2.5,-0"
+    assert lines[2] == "0.10000000000000001,4.9406564584124654e-324"
+    back = load_csv(path)
+    assert np.array_equal(back.x, d.x) and np.array_equal(back.y, d.y)
+    assert np.signbit(back.x[0, 0])
+
+
+def test_csv_header_only_roundtrip(tmp_path):
+    path = tmp_path / "empty.csv"
+    save_csv(Dataset(np.empty((0, 3)), np.empty(0), "forget"), path)
+    assert path.read_text() == "y,x1,x2,x3\n"
+    assert load_csv(path, role="forget").n == 0
 
 
 def test_csv_header_mismatch(tmp_path):

@@ -133,3 +133,25 @@ def test_gd_solver_forms_no_gram_beyond_prepare(calls):
     fit = SOLVERS["gd"].fit(pb)
     assert fit.iterations > 0
     assert tally["compute_stats"] == 0
+
+
+def test_bench_forms_each_gram_once(calls, tmp_path):
+    # the pretrained fit pools the remaining and forget statistics, so no
+    # Gram of the concatenated rows is formed, and retrain reads the same one
+    model, remaining, forget, _ = linear_instance(9)
+    paths = {}
+    for d in (remaining, forget, remaining.with_role("test")):
+        paths[d.role] = tmp_path / f"{d.role}.csv"
+        save_csv(d, paths[d.role])
+    tally, seen = calls
+    tally.clear()
+    seen.clear()
+    assert main([
+        "bench", "--remaining", str(paths["remaining"]),
+        "--forget", str(paths["forget"]), "--test", str(paths["test"]),
+        "--ratio", "0.3", "--out", str(tmp_path / "mpe.csv"),
+    ]) == 0
+    assert tally["compute_stats"] == 3
+    assert sorted((d.role, d.n) for d in seen) == [
+        ("forget", 40), ("remaining", 400), ("subsample", 120),
+    ]

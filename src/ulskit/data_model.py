@@ -87,6 +87,12 @@ class SufficientStats:
     m: np.ndarray
     n: int
 
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.sigma)) and np.all(np.isfinite(self.m))):
+            raise ValueError(
+                "the data's moments overflow: X'X/n or X'y/n is not finite"
+            )
+
     def __add__(self, other: "SufficientStats") -> "SufficientStats":
         return self._merge(other, other.n)
 
@@ -171,8 +177,10 @@ def compute_stats(d: Dataset) -> SufficientStats:
     """Normalized Gram matrix and cross-moment of a nonempty dataset."""
     if d.n == 0:
         raise EmptyDataset("cannot compute statistics of an empty dataset")
-    sigma = d.x.T @ d.x / d.n
-    m = d.x.T @ d.y / d.n
+    # an overflow is reported once, by SufficientStats, as a named error
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = d.x.T @ d.x / d.n
+        m = d.x.T @ d.y / d.n
     return SufficientStats(sigma=sigma, m=m, n=d.n)
 
 
@@ -213,9 +221,10 @@ def split_train_test(d: Dataset, test_fraction: float, rng: RngStream):
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
-# CSV: header "y,x1,...,xp", decimal literals, UTF-8, comma separator, no
-# quoting. Model JSON: {"theta": [...], "n_total": N, "n_remaining": Nr,
-# "n_forget": Nf, "loss": "squared"|"logistic"}.
+# CSV: header "y,x1,...,xp", float() literals, UTF-8, comma separator, one
+# record per line, no comment or blank lines; a quoted cell reads as unquoted.
+# Model JSON: {"theta": [...], "n_total": N, "n_remaining": Nr, "n_forget": Nf,
+# "loss": "squared"|"logistic"}.
 
 _HEADER_RE = re.compile(r"^x([1-9][0-9]*)$")
 
@@ -240,50 +249,86 @@ def load_csv(path, role: str = "remaining", expected_p: int | None = None) -> Da
 
     Parse failures point at the offending cell (1-based row and column, the
     header counting as row 1). Non-finite literals such as NaN are rejected.
+    A file with no data rows is an input error unless it is a forget set.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise SchemaMismatch(f"{path}: file is empty")
-            p = _check_header(header, path)
-            if expected_p is not None and p != expected_p:
-                raise SchemaMismatch(f"{path}: expected p={expected_p}, file has p={p}")
-            ys = []
-            rows = []
-            for row_idx, fields in enumerate(reader, start=2):
-                if len(fields) != p + 1:
-                    raise ParseError(
-                        f"{path}: row {row_idx} has {len(fields)} fields,"
-                        f" expected {p + 1}"
-                    )
-                values = np.empty(p + 1)
-                for col_idx, cell in enumerate(fields, start=1):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: row {row_idx}, column {col_idx}:"
-                            f" cannot parse {cell!r}"
-                        ) from None
-                    if not np.isfinite(value):
-                        raise ParseError(
-                            f"{path}: row {row_idx}, column {col_idx}:"
-                            f" non-finite value {cell!r}"
-                        )
-                    values[col_idx - 1] = value
-                ys.append(values[0])
-                rows.append(values[1:])
-        except csv.Error as exc:  # e.g. a cell over the field size limit
-            raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
-    if rows:
-        x = np.vstack(rows)
-        y = np.asarray(ys)
-    else:
-        x = np.empty((0, p))
-        y = np.empty(0)
-    return Dataset(x, y, role)
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaMismatch(f"{path}: file is empty")
+        p = _check_header(header, path)
+        if expected_p is not None and p != expected_p:
+            raise SchemaMismatch(f"{path}: expected p={expected_p}, file has p={p}")
+        table = _parse_body(lines[reader.line_num:], p)
+        if table is None:
+            table = _scan_cells(reader, p, path)
+    except csv.Error as exc:  # e.g. a cell over the field size limit
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
+    if table.shape[0] == 0 and role != "forget":
+        raise SchemaMismatch(f"{path}: no data rows, but role {role!r} needs some")
+    return Dataset(np.ascontiguousarray(table[:, 1:]), table[:, 0].copy(), role)
+
+
+# ASCII separators that np.loadtxt strips around a number and float() rejects
+_LOADTXT_ONLY_SPACE = re.compile("[\x1c-\x1f]")
+
+
+def _parse_body(lines, p: int) -> np.ndarray | None:
+    """The body lines as an (n, p + 1) array from one np.loadtxt, or None.
+
+    The array stands only where the cell scan would give the same one: one
+    finite record of p + 1 fields per line (np.loadtxt skips blank lines and
+    joins quoted line breaks, so either changes the row count), no cell over
+    the csv module's size limit, and no character that np.loadtxt and
+    float() read differently. On None the cell scan decides.
+    """
+    # np.loadtxt warns on an input without rows, so the first line must be one
+    if not lines or "," not in lines[0]:
+        return None
+    limit = csv.field_size_limit()
+    if any(
+        len(line) > limit and max(map(len, line.split(","))) > limit
+        for line in lines
+    ):
+        return None
+    if any(map(_LOADTXT_ONLY_SPACE.search, lines)):
+        return None
+    try:
+        # comments=None: "#" is no comment marker in this format
+        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except Exception:  # whatever np.loadtxt refuses, the cell scan rules on
+        return None
+    if table.shape != (len(lines), p + 1) or not np.all(np.isfinite(table)):
+        return None
+    return table
+
+
+def _scan_cells(reader, p: int, path) -> np.ndarray:
+    """Parse the rest of ``reader`` cell by cell with float(), naming a bad cell."""
+    rows = []
+    for row_idx, fields in enumerate(reader, start=2):
+        if len(fields) != p + 1:
+            raise ParseError(
+                f"{path}: row {row_idx} has {len(fields)} fields, expected {p + 1}"
+            )
+        values = []
+        for col_idx, cell in enumerate(fields, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_idx}, column {col_idx}: cannot parse {cell!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {row_idx}, column {col_idx}:"
+                    f" non-finite value {cell!r}"
+                )
+            values.append(value)
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), p + 1)
 
 
 def save_csv(d: Dataset, path) -> None:

@@ -83,13 +83,21 @@ def cholesky(a) -> SpdFactor:
 
 
 def spd_solve(f: SpdFactor, b) -> np.ndarray:
-    """Solve A x = b given the Cholesky factor of A. Accepts 1-d or 2-d b."""
+    """Solve A x = b given the Cholesky factor of A. Accepts 1-d or 2-d b.
+
+    The factor is finite by construction, so instead of scanning both
+    operands first, only the solution is checked: a non-finite b, or a solve
+    that overflows, is a ValueError rather than a NaN answer.
+    """
     arr = np.asarray(b, dtype=np.float64)
     if arr.shape[0] != f.dim:
         raise DimensionMismatch(
             f"factor dim {f.dim} does not match rhs length {arr.shape[0]}"
         )
-    return cho_solve((f.lower, True), arr)
+    x = cho_solve((f.lower, True), arr, check_finite=False)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("linear solve gave non-finite entries (its input overflows)")
+    return x
 
 
 def ar1_covariance(p: int, rho: float) -> np.ndarray:

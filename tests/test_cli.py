@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ulskit
 from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv
 from ulskit.cli import main
 
@@ -559,4 +564,95 @@ def test_bench_ratio_out_of_range_exit_code(bench_files, ratio, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "ValueError" in err and "--ratio" in err
+    assert not out.exists()
+
+
+def test_cli_start_up_leaves_out_scipy_stats():
+    # scipy.stats alone roughly doubles the start-up time of every command
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ulskit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_header_only_pretrain_exit_code(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("y,x1\n")
+    out = tmp_path / "model.json"
+    assert main(["pretrain", str(empty), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaMismatch" in err and str(empty) in err and "'remaining'" in err
+    assert not out.exists()
+
+
+def test_header_only_bench_test_exit_code(bench_files, capsys):
+    paths, tmp = bench_files
+    empty = tmp / "empty.csv"
+    empty.write_text("y,x1,x2,x3,x4\n")
+    out = tmp / "mpe.csv"
+    code = main([
+        "bench", "--remaining", str(paths["remaining"]),
+        "--forget", str(paths["forget"]), "--test", str(empty), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "SchemaMismatch" in err and str(empty) in err and "'test'" in err
+    assert not out.exists()
+
+
+@pytest.fixture
+def overflow_example(tmp_path):
+    """A finite model, and forget/subsample responses of +1e308 / -1e308."""
+    rng = RngStream(9, 0)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    full = tmp_path / "full.csv"
+    _write_csv(full, x, x @ np.array([1.0, 2.0]) + rng.standard_normal(40))
+    paths = {"forget": tmp_path / "forget.csv", "sub": tmp_path / "sub.csv",
+             "model": tmp_path / "model.json"}
+    _write_csv(paths["forget"], x[:10], np.full(10, 1e308))
+    _write_csv(paths["sub"], x[10:], np.full(30, -1e308))
+    assert main(["pretrain", str(full), "--n-forget", "10",
+                 "--out", str(paths["model"])]) == 0
+    return paths, tmp_path
+
+
+@pytest.mark.parametrize("command", [
+    ["unlearn", "--method", "uls"],
+    ["unlearn", "--method", "uls+"],
+    ["unlearn", "--method", "graddiff"],
+    ["unlearn", "--method", "tl"],
+    ["unlearn", "--method", "gd"],
+    ["unlearn", "--method", "ols"],
+    ["infer", "--method", "uls", "--coord", "1"],
+    ["infer", "--method", "ols", "--coord", "1"],
+], ids=lambda c: "-".join(c[:3]))
+def test_overflowing_moments_exit_code(overflow_example, command, capsys):
+    # X'y/n overflows; no method may write NaN coefficients and exit 0
+    paths, tmp = overflow_example
+    out = tmp / "r.json"
+    code = main([
+        *command, "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+        "--sub", str(paths["sub"]), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: the data's moments overflow")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_solve_exit_code(p3_example, capsys):
+    # a huge lambda makes uls+'s right-hand side overflow, not its moments
+    paths, tmp = p3_example
+    out = tmp / "r.json"
+    code = main([
+        "unlearn", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+        "--sub", str(paths["sub"]), "--method", "uls+", "--lam", "1e308",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
     assert not out.exists()

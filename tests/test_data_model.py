@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,6 +24,7 @@ from ulskit import (
     split_train_test,
     subsample,
 )
+from ulskit import data_model
 
 
 def test_stats_single_row():
@@ -208,6 +212,117 @@ def test_csv_header_mismatch(tmp_path):
     path.write_text("y,x1\n1.0,2.0\n")
     with pytest.raises(SchemaMismatch):
         load_csv(path, expected_p=3)
+
+
+# (id, file text, expected): the (y, x) read as a forget set, or the error
+# class and its message, where {path} stands for the file's path.
+AWKWARD_CSV = [
+    ("no-final-newline", "y,x1\n1,2\n3,4", ([1.0, 3.0], [[2.0], [4.0]])),
+    ("crlf", "y,x1\r\n1,2\r\n3,4\r\n", ([1.0, 3.0], [[2.0], [4.0]])),
+    ("cr-only", "y,x1\r1,2\r3,4\r", ([1.0, 3.0], [[2.0], [4.0]])),
+    ("padded", "y,x1\n 1 ,\t2\n", ([1.0], [[2.0]])),
+    ("underflow", "y,x1\n1e-400,-0\n", ([0.0], [[-0.0]])),
+    ("underscore", "y,x1\n1_0,2\n", ([10.0], [[2.0]])),
+    ("arabic-indic", "y,x1\n\u0661,\u0663.\u0665\n", ([1.0], [[3.5]])),
+    ("quoted", 'y,x1\n"2.5",1\n', ([2.5], [[1.0]])),
+    ("quoted-header", '"y","x1"\n1,2\n', ([1.0], [[2.0]])),
+    ("quoted-newline-number", 'y,x1\n"1\n",2\n', ([1.0], [[2.0]])),
+    ("header-only", "y,x1\n", ([], np.empty((0, 1)))),
+    ("header-only-no-newline", "y,x1", ([], np.empty((0, 1)))),
+    ("empty-file", "", (SchemaMismatch, "{path}: file is empty")),
+    ("bom-header", "\ufeffy,x1\n1,2\n",
+     (SchemaMismatch, "{path}: header must start with 'y', got ['\\ufeffy']")),
+    ("blank-line-inside", "y,x1\n1,2\n\n3,4\n",
+     (ParseError, "{path}: row 3 has 0 fields, expected 2")),
+    ("blank-body", "y,x1\n\n",
+     (ParseError, "{path}: row 2 has 0 fields, expected 2")),
+    ("blank-line-at-end", "y,x1\n1,2\n\n",
+     (ParseError, "{path}: row 3 has 0 fields, expected 2")),
+    ("whitespace-line", "y,x1\n1,2\n  \n",
+     (ParseError, "{path}: row 3 has 1 fields, expected 2")),
+    ("comment-line", "y,x1\n#c\n1,2\n",
+     (ParseError, "{path}: row 2 has 1 fields, expected 2")),
+    ("comment-in-cell", "y,x1\n1,2#c\n",
+     (ParseError, "{path}: row 2, column 2: cannot parse '2#c'")),
+    ("short-row", "y,x1,x2\n1,2\n",
+     (ParseError, "{path}: row 2 has 2 fields, expected 3")),
+    ("long-row", "y,x1\n1,2,3\n",
+     (ParseError, "{path}: row 2 has 3 fields, expected 2")),
+    ("empty-field", "y,x1\n1,\n",
+     (ParseError, "{path}: row 2, column 2: cannot parse ''")),
+    ("quoted-comma", 'y,x1\n"1,5",1\n',
+     (ParseError, "{path}: row 2, column 1: cannot parse '1,5'")),
+    ("quoted-newline", 'y,x1\n"1\n2",3\n',
+     (ParseError, "{path}: row 2, column 1: cannot parse '1\\n2'")),
+    ("hex", "y,x1\n0x10,1\n",
+     (ParseError, "{path}: row 2, column 1: cannot parse '0x10'")),
+    ("bom-cell", "y,x1\n\ufeff1,2\n",
+     (ParseError, "{path}: row 2, column 1: cannot parse '\\ufeff1'")),
+    ("file-separator", "y,x1\n1,\x1c2\n",
+     (ParseError, "{path}: row 2, column 2: cannot parse '\\x1c2'")),
+    ("inf", "y,x1\ninf,1\n",
+     (ParseError, "{path}: row 2, column 1: non-finite value 'inf'")),
+    ("overflow", "y,x1\n1,1e400\n",
+     (ParseError, "{path}: row 2, column 2: non-finite value '1e400'")),
+    ("overlong-finite-cell", "y,x1\n1,0." + "0" * 200_000 + "1\n",
+     (ParseError, "{path}: row 2: field larger than field limit (131072)")),
+]
+
+
+@pytest.mark.parametrize("parser", ["loadtxt-first", "cell-scan"])
+@pytest.mark.parametrize(
+    "text,expected", [pytest.param(t, e, id=name) for name, t, e in AWKWARD_CSV]
+)
+def test_csv_awkward_inputs(tmp_path, monkeypatch, text, expected, parser):
+    # the cell scan alone must give what the vectorized parse plus fallback gives
+    if parser == "cell-scan":
+        monkeypatch.setattr(data_model, "_parse_body", lambda lines, p: None)
+    path = tmp_path / "awkward.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as info:
+                load_csv(path, role="forget")
+            assert str(info.value) == expected[1].format(path=path)
+        else:
+            d = load_csv(path, role="forget")
+            assert d.y.tobytes() == np.asarray(expected[0], dtype=float).tobytes()
+            assert d.x.tobytes() == np.asarray(expected[1], dtype=float).tobytes()
+            assert d.x.shape == (len(expected[0]), 1)
+    assert not caught
+
+
+def test_csv_loadtxt_matches_float_bitwise(tmp_path):
+    rng = RngStream(11, 0)
+    # magnitudes from 1e-300 to 1e300, so rounding of every kind is exercised
+    scale = 10.0 ** np.floor(600.0 * rng.uniform((2000, 21)) - 300.0)
+    values = rng.standard_normal((2000, 21)) * scale
+    path = tmp_path / "doubles.csv"
+    save_csv(Dataset(values[:, 1:], values[:, 0]), path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    ref = np.array([[float(cell) for cell in row] for row in csv.reader(lines[1:])])
+    assert data_model._parse_body(lines[1:], 20) is not None  # no fallback
+    d = load_csv(path)
+    assert d.y.tobytes() == ref[:, 0].tobytes()
+    assert d.x.tobytes() == ref[:, 1:].tobytes()
+    assert d.x.flags.c_contiguous and d.y.flags.c_contiguous
+
+
+@pytest.mark.parametrize("role", ["remaining", "subsample", "test"])
+def test_csv_header_only_is_an_input_error(tmp_path, role):
+    path = tmp_path / "empty.csv"
+    path.write_text("y,x1\n")
+    with pytest.raises(SchemaMismatch) as info:
+        load_csv(path, role=role)
+    assert str(path) in str(info.value) and repr(role) in str(info.value)
+
+
+def test_stats_reject_overflowing_moments():
+    x = np.ones((3, 1))
+    with pytest.raises(ValueError, match="moments overflow"):
+        compute_stats(Dataset(x, np.full(3, 1e308)))
 
 
 def test_model_json_roundtrip(tmp_path):

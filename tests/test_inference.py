@@ -25,6 +25,11 @@ def test_normal_quantile_value():
     assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_normal_quantile_bits():
+    # the bits of scipy.stats.norm.ppf(0.975), which start-up no longer imports
+    assert normal_quantile(0.975) == float.fromhex("0x1.f5c0331eeff84p+0")
+
+
 def test_noise_terms_b_vanishes_when_thetas_agree():
     model, _, _, sub = linear_instance(0)
     theta = model.theta_p

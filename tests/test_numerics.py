@@ -61,6 +61,11 @@ def test_spd_solve_diagonal_scaling():
     assert_allclose(spd_solve(cholesky(a), [4.0, -4.0]), [2.0, -2.0], rtol=1e-12)
 
 
+def test_spd_solve_non_finite_rhs():
+    with pytest.raises(ValueError, match="non-finite"):
+        spd_solve(cholesky(np.eye(2)), [np.inf, 0.0])
+
+
 def test_spd_solve_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         spd_solve(cholesky(np.eye(2)), np.ones(3))

@@ -21,11 +21,22 @@ its own objective gradient at the solution as a stationarity certificate.
 :data:`SOLVERS` table maps each method name to its solver on a problem. The
 table is the one place a method is dispatched: the dataset-level functions
 below, cross-validation, the simulation harness and the CLI all go through
-it.
+it. A tuned solver also has a path, which solves a whole grid of lam with
+one factorization or eigendecomposition:
+
+    uls+:   theta(lam) = (a + lam b) / (omega_r + lam), where
+            sigma_sub a = sigma_mix theta_p - omega_f m_f, sigma_sub b = m_sub
+    ridge:  theta(lam) = Q diag(1 / (d + lam)) Q' (m_sub + lam theta_p),
+            where sigma_sub = Q diag(d) Q'
+    gdiff:  theta(lam) = V diag(1 / (lam - mu)) V' (lam m_sub - m_f),
+            where sigma_f V = sigma_sub V diag(mu) and V' sigma_sub V = I
+
+The GradDiff objective is bounded below iff lam > mu_max, the largest mu.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -48,7 +59,14 @@ from .errors import (
     SingularGram,
 )
 from .loss import LossFn, get_loss, loss_grad, loss_value
-from .numerics import SpdFactor, cholesky, max_eigenvalue, spd_solve
+from .numerics import (
+    SpdFactor,
+    cholesky,
+    finite_solution,
+    max_eigenvalue,
+    spd_solve,
+    sym_eigh,
+)
 
 _DIVERGE_FACTOR = 1e8
 
@@ -214,22 +232,39 @@ def _uls(pb: Problem, lam=None) -> EstimateResult:
     return _result("uls", theta, _uls_objective_grad(theta, pb))
 
 
+def _sigma_mix_theta_p(pb: Problem) -> np.ndarray:
+    w, theta_p = pb.w, pb.theta_p
+    return w.omega_r * (pb.st_sub.sigma @ theta_p) + w.omega_f * (
+        pb.st_f.sigma @ theta_p
+    )
+
+
 def _uls_plus(pb: Problem, lam) -> EstimateResult:
     _require_squared(pb, "uls_plus")
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if pb.st_f.n == 0:  # nothing to forget: a no-op
         return _result("uls+", pb.theta_p.copy(), 0.0, lam)
-    w, st_sub, st_f, theta_p = pb.w, pb.st_sub, pb.st_f, pb.theta_p
-    sigma_mix_theta = w.omega_r * (st_sub.sigma @ theta_p) + w.omega_f * (
-        st_f.sigma @ theta_p
-    )
-    rhs = sigma_mix_theta + lam * st_sub.m - w.omega_f * st_f.m
+    w, st_sub, st_f = pb.w, pb.st_sub, pb.st_f
+    # a huge lam overflows here; spd_solve then names the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = _sigma_mix_theta_p(pb) + lam * st_sub.m - w.omega_f * st_f.m
     theta = spd_solve(pb.sub_factor, rhs) / (w.omega_r + lam)
     grad = _uls_objective_grad(theta, pb) + 2.0 * lam * (
         st_sub.sigma @ theta - st_sub.m
     )
     return _result("uls+", theta, grad, lam)
+
+
+def _uls_plus_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
+    _require_squared(pb, "uls_plus")
+    if pb.st_f.n == 0:  # the no-op at every lam
+        return np.repeat(pb.theta_p[:, None], len(lams), axis=1)
+    base = _sigma_mix_theta_p(pb) - pb.w.omega_f * pb.st_f.m
+    a, b = spd_solve(pb.sub_factor, np.column_stack([base, pb.st_sub.m])).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = (a[:, None] + lams * b[:, None]) / (pb.w.omega_r + lams)
+    return finite_solution(thetas)
 
 
 def _graddiff(pb: Problem, lam) -> EstimateResult:
@@ -248,6 +283,35 @@ def _graddiff(pb: Problem, lam) -> EstimateResult:
     return _result("graddiff", theta, grad, lam)
 
 
+def graddiff_threshold(pb: Problem) -> float:
+    """mu_max: the GradDiff objective is bounded below iff lam > mu_max.
+
+    Infinite when the subsample Gram is not positive definite, since then no
+    lam makes ``lam * sigma_sub - sigma_f`` positive definite.
+    """
+    try:
+        return max_eigenvalue(pb.st_f.sigma, pb.st_sub.sigma)
+    except NotPositiveDefinite:
+        return math.inf
+
+
+def _graddiff_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
+    _require_squared(pb, "graddiff")
+    thetas = np.full((pb.st_sub.m.shape[0], len(lams)), np.nan)
+    try:
+        mu, v = sym_eigh(pb.st_f.sigma, pb.st_sub.sigma)
+    except NotPositiveDefinite:  # every lam is infeasible
+        return thetas
+    ok = lams > mu[-1]
+    lam = lams[ok]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = (lam * (v.T @ pb.st_sub.m)[:, None] - (v.T @ pb.st_f.m)[:, None]) / (
+            lam - mu[:, None]
+        )
+    thetas[:, ok] = finite_solution(v @ coef)
+    return thetas
+
+
 def _transfer_ridge(pb: Problem, lam) -> EstimateResult:
     if lam <= 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
@@ -256,6 +320,15 @@ def _transfer_ridge(pb: Problem, lam) -> EstimateResult:
     theta = spd_solve(cholesky(a), st_sub.m + lam * theta_p)
     grad = 2.0 * (st_sub.sigma @ theta - st_sub.m) + 2.0 * lam * (theta - theta_p)
     return _result("tl", theta, grad, lam)
+
+
+def _transfer_ridge_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
+    d, q = sym_eigh(pb.st_sub.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = ((q.T @ pb.st_sub.m)[:, None] + lams * (q.T @ pb.theta_p)[:, None]) / (
+            d[:, None] + lams
+        )
+    return finite_solution(q @ coef)
 
 
 def _gd(pb: Problem, lam=None) -> EstimateResult:
@@ -270,19 +343,26 @@ class Solver(NamedTuple):
     """``fit(problem, lam)`` gives a method's fit and its certificate.
 
     A ``tuned`` method takes a lambda picked by cross-validation; the others
-    ignore ``lam``.
+    ignore ``lam``. A tuned method also has ``path(problem, lams)``: the p x L
+    matrix whose columns are the coefficients of ``fit`` at the L positive
+    ``lams``. A NaN column marks a lam at which the objective is unbounded
+    below, where ``fit`` raises :class:`IndefiniteObjective`.
     """
 
     fit: Callable[[Problem, float | None], EstimateResult]
-    tuned: bool = False
+    path: Callable[[Problem, np.ndarray], np.ndarray] | None = None
+
+    @property
+    def tuned(self) -> bool:
+        return self.path is not None
 
 
 SOLVERS = {
     "ols": Solver(_ols),
     "uls": Solver(_uls),
-    "uls+": Solver(_uls_plus, tuned=True),
-    "graddiff": Solver(_graddiff, tuned=True),
-    "tl": Solver(_transfer_ridge, tuned=True),
+    "uls+": Solver(_uls_plus, _uls_plus_path),
+    "graddiff": Solver(_graddiff, _graddiff_path),
+    "tl": Solver(_transfer_ridge, _transfer_ridge_path),
     "gd": Solver(_gd),
 }
 

@@ -5,14 +5,19 @@ Everything downstream funnels its SPD solves through :func:`cholesky` /
 errors instead of silently regularized answers, and draws its randomness
 through :class:`RngStream` so that identical (seed, stream_id) pairs replay
 bit-identical sequences regardless of thread schedule.
+:func:`blas_single_threaded` keeps the BLAS libraries from starting threads
+of their own while a worker pool runs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, toeplitz
+from scipy.linalg import LinAlgError, cho_solve, eigh, toeplitz
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -94,10 +99,105 @@ def spd_solve(f: SpdFactor, b) -> np.ndarray:
         raise DimensionMismatch(
             f"factor dim {f.dim} does not match rhs length {arr.shape[0]}"
         )
-    x = cho_solve((f.lower, True), arr, check_finite=False)
+    return finite_solution(cho_solve((f.lower, True), arr, check_finite=False))
+
+
+def finite_solution(x: np.ndarray) -> np.ndarray:
+    """x itself; a non-finite entry, the mark of an overflowing input, is a
+    ValueError rather than a NaN answer."""
     if not np.all(np.isfinite(x)):
         raise ValueError("linear solve gave non-finite entries (its input overflows)")
     return x
+
+
+def sym_eigh(a, b=None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues d, ascending, and eigenvectors Q of the symmetric pencil
+    ``a Q = b Q diag(d)`` with ``Q' b Q = I``; b defaults to the identity.
+
+    A b that is not positive definite raises :class:`NotPositiveDefinite`.
+    The operands are not scanned: callers pass finite statistics.
+    """
+    if b is None:
+        return np.linalg.eigh(a)
+    with _pencil_errors():
+        return eigh(a, b, check_finite=False)
+
+
+@contextmanager
+def _pencil_errors():
+    """LAPACK's failure to factor the pencil's b as NotPositiveDefinite."""
+    try:
+        yield
+    except LinAlgError as exc:
+        raise NotPositiveDefinite(f"pencil matrix b: {exc}") from None
+
+
+class _PhdrInfo(ctypes.Structure):
+    # the leading fields of glibc's struct dl_phdr_info
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+_VISIT = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
+)
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of each OpenBLAS the process has loaded.
+
+    numpy and scipy wheels each bundle their own copy, under the symbol
+    prefix ``scipy_openblas`` (older wheels: ``openblas``), with a ``64_``
+    suffix for the 64-bit-integer build. Empty where the loader cannot be
+    asked for its libraries (no ``dl_iterate_phdr``) or none is OpenBLAS.
+    """
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (OSError, AttributeError, TypeError):
+        return []
+    iterate.restype, iterate.argtypes = ctypes.c_int, [_VISIT, ctypes.c_void_p]
+    paths = []
+
+    def visit(info, size, data):
+        name = info.contents.name
+        if name and b"openblas" in os.path.basename(name).lower():
+            paths.append(os.fsdecode(name))
+        return 0
+
+    callback = _VISIT(visit)  # referenced until the loader is done with it
+    iterate(callback, None)
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)  # already loaded: this only takes a handle
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    controls.append((get, put))
+    return controls
+
+
+@contextmanager
+def blas_single_threaded():
+    """Run the block with every loaded OpenBLAS limited to one thread.
+
+    Worker threads that each call BLAS already keep the CPUs busy; a BLAS
+    that also starts its own threads makes them fight over the cores (and
+    numpy's and scipy's copies keep separate thread pools). The previous
+    counts are restored on exit. Where no OpenBLAS is found this does
+    nothing.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def ar1_covariance(p: int, rho: float) -> np.ndarray:
@@ -109,9 +209,13 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
     return toeplitz(rho ** np.arange(p, dtype=np.float64))
 
 
-def max_eigenvalue(a: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(a)[-1])
+def max_eigenvalue(a: np.ndarray, b=None) -> float:
+    """Largest eigenvalue of a symmetric matrix, or of the pencil (a, b) as
+    in :func:`sym_eigh`."""
+    if b is None:
+        return float(np.linalg.eigvalsh(a)[-1])
+    with _pencil_errors():
+        return float(eigh(a, b, eigvals_only=True, check_finite=False)[-1])
 
 
 class RngStream:

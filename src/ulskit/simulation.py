@@ -44,6 +44,7 @@ from .numerics import (
     RngStream,
     ar1_covariance,
     bartlett_factor,
+    blas_single_threaded,
     cholesky,
     sample_gaussian,
 )
@@ -319,14 +320,17 @@ def _pool_map(fn, items, threads: int | None) -> list:
     """``[fn(item) for item in items]`` on ``threads`` pool workers, in order.
 
     ``threads`` None or below 1 means the CPU count; one worker runs inline.
+    BLAS runs single-threaded meanwhile: the workers already fill the CPUs,
+    and on a replication's small matrices BLAS threads mostly spin.
     """
     items = list(items)
     workers = threads if threads and threads > 0 else (cpu_count() or 1)
     workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    with blas_single_threaded():
+        if workers <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
 
 
 def summarize(cfg: SimConfig, records) -> SimSummary:

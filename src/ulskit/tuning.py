@@ -3,11 +3,18 @@
 Both rules read an :class:`~ulskit.estimators.Problem`, so a tuned fit forms
 its Gram matrices once, in :func:`~ulskit.estimators.prepare`.
 :func:`cv_select` splits the problem's subsample rows into shuffled
-round-robin folds; each candidate lambda is fitted on the training folds and
-scored by squared prediction error on the held-out fold. Ties break toward
-the larger (more conservative) lambda. GradDiff candidates whose objective is
-indefinite on a training fold or on the full subsample are skipped with an
-infinite score rather than failing the search. :func:`plugin_lambda` is the
+round-robin folds. On each training fold the solver's path gives the
+coefficients of every candidate lambda from one factorization (uls+) or one
+eigendecomposition (ridge, GradDiff), and one vectorized expression scores
+them all by squared prediction error on the held-out fold. Ties break toward
+the larger (more conservative) lambda.
+
+GradDiff's objective is bounded below only for lambda above its convexity
+threshold mu_max (:func:`~ulskit.estimators.graddiff_threshold`), which
+differs from fold to fold. Infeasible candidates get an infinite score
+rather than failing the search: a lambda at or below the full subsample's
+threshold scores inf on every fold, and any other lambda scores inf from the
+first fold it is infeasible on onward. :func:`plugin_lambda` is the
 closed-form alternative for uls+.
 """
 
@@ -19,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data_model import Dataset, SufficientStats
-from .errors import IndefiniteObjective, InsufficientData, NoFeasibleLambda
-from .estimators import SOLVERS, Problem, ols_theta
+from .errors import InsufficientData, NoFeasibleLambda
+from .estimators import SOLVERS, Problem, graddiff_threshold, ols_theta
 from .numerics import RngStream
 
 CV_METHODS = tuple(name for name, solver in SOLVERS.items() if solver.tuned)
@@ -82,8 +89,14 @@ def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
     return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
 
 
-def _heldout_mse(theta: np.ndarray, fold: SufficientStats, yy: float) -> float:
-    return float(yy - 2.0 * theta @ fold.m + theta @ fold.sigma @ theta)
+def _heldout_mse(thetas: np.ndarray, fold: SufficientStats, yy: float) -> np.ndarray:
+    """Held-out MSE of each column of thetas, from the fold's statistics.
+
+    einsum rather than BLAS: BLAS kernels treat edge columns differently, and
+    equal columns must score bit-equal so that exact ties stay ties.
+    """
+    quad = np.einsum("ik,ik->k", thetas, np.einsum("ij,jk->ik", fold.sigma, thetas))
+    return yy - 2.0 * np.einsum("i,ik->k", fold.m, thetas) + quad
 
 
 def cv_select(
@@ -95,7 +108,8 @@ def cv_select(
     """Pick the grid lambda minimizing mean held-out MSE on ``pb.sub``.
 
     Each fold problem is ``pb`` with the training-fold statistics as
-    ``st_sub``; nothing is prepared again. Returns ``(lam, cv_table)`` where
+    ``st_sub``; nothing is prepared again, and the solver's path fits every
+    lambda of the grid on it at once. Returns ``(lam, cv_table)`` where
     the table rows are ``(lam, fold_index, mse)`` for audit. Raises
     :class:`NoFeasibleLambda` when every candidate is infeasible and
     :class:`InsufficientData` when the subsample cannot support the folds.
@@ -110,40 +124,29 @@ def cv_select(
             f"need at least folds*(p+1) = {spec.folds * (sub.p + 1)} subsample"
             f" rows, got {sub.n}"
         )
-    fit = SOLVERS[method].fit
+    path = SOLVERS[method].path
+    grid = np.array(spec.grid)
     perm = rng.permutation(sub.n)  # shuffled round-robin folds
     held_idx = [np.sort(perm[j::spec.folds]) for j in range(spec.folds)]
-    heldout = [_fold_stats(sub, idx) for idx in held_idx]
-    # one problem per training fold, so a factor free of lambda is formed once
-    folds = [replace(pb, st_sub=pb.st_sub - held, sub=None) for held, _ in heldout]
+    alive = np.full(len(grid), True)
+    if method == "graddiff":  # infeasible on the whole subsample: inf on every fold
+        alive = grid > graddiff_threshold(pb)
+    scores = np.empty((spec.folds, len(grid)))
+    for j, idx in enumerate(held_idx):
+        held, yy = _fold_stats(sub, idx)
+        thetas = path(replace(pb, st_sub=pb.st_sub - held, sub=None), grid)
+        alive &= ~np.isnan(thetas).any(axis=0)
+        scores[j] = np.where(alive, _heldout_mse(thetas, held, yy), math.inf)
+    means = scores.mean(axis=0)
 
-    def feasible_on_full(lam: float) -> bool:
-        if method != "graddiff":
-            return True
-        try:
-            fit(pb, lam)
-        except IndefiniteObjective:
-            return False
-        return True
-
-    cv_table = []
-    means = []
-    for lam in spec.grid:
-        dead = not feasible_on_full(lam)
-        for j, (train, (held, yy)) in enumerate(zip(folds, heldout)):
-            mse = math.inf
-            if not dead:
-                try:
-                    mse = _heldout_mse(fit(train, lam).theta, held, yy)
-                except IndefiniteObjective:
-                    dead = True
-            cv_table.append((lam, j, mse))
-        scores = [mse for _, _, mse in cv_table[-spec.folds:]]
-        means.append(math.inf if dead else float(np.mean(scores)))
-
-    best = min(means)
+    best = means.min()
     if math.isinf(best):
         raise NoFeasibleLambda("every grid lambda failed the definiteness check")
     # ties break toward the larger lambda
     chosen = max(lam for lam, mean in zip(spec.grid, means) if mean == best)
+    cv_table = [
+        (lam, j, float(scores[j, k]))
+        for k, lam in enumerate(spec.grid)
+        for j in range(spec.folds)
+    ]
     return chosen, cv_table

@@ -656,3 +656,22 @@ def test_overflowing_solve_exit_code(p3_example, capsys):
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_solve_prints_only_the_named_error(p3_example):
+    # a separate process, so that stderr holds whatever numpy would print
+    paths, tmp = p3_example
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp / "r.json"
+    proc = subprocess.run([
+        sys.executable, "-m", "ulskit.cli", "unlearn", "--model", str(paths["model"]),
+        "--forget", str(paths["forget"]), "--sub", str(paths["sub"]),
+        "--method", "uls+", "--lam", "1e308", "--out", str(out),
+    ], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("ValueError: linear solve gave non-finite entries")
+    assert not out.exists()

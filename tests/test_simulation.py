@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ulskit
 from helpers import rows_as_multiset
 from ulskit import (
     Dataset,
@@ -13,7 +19,8 @@ from ulskit import (
     run_experiment,
     write_records,
 )
-from ulskit.simulation import SimConfig, _run_rep, draw_rep_stats
+from ulskit.numerics import _openblas_thread_controls
+from ulskit.simulation import SimConfig, _pool_map, _run_rep, draw_rep_stats
 
 
 def small_config(**overrides):
@@ -88,6 +95,55 @@ def test_run_deterministic_across_thread_counts():
             b.sd_hat,
         )
     assert summary_serial.to_json_dict() == summary_pool.to_json_dict()
+
+
+def _simulate_tuned(tmp_path, tag, threads, openblas_threads):
+    """Seeded `uls simulate` of the tuned methods in a fresh process."""
+    env = dict(os.environ)
+    env.pop("ULS_THREADS", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    records, summary = tmp_path / f"rec_{tag}.csv", tmp_path / f"sum_{tag}.json"
+    subprocess.run([
+        sys.executable, "-m", "ulskit.cli", "simulate", "--nr", "4000",
+        "--nf", "400", "--p", "50", "--ratio", "0.5", "--reps", "3",
+        "--seed", "5", "--methods", "uls,uls+,graddiff,tl,gd",
+        "--threads", str(threads),
+        "--records", str(records), "--summary", str(summary),
+    ], env=env, check=True, capture_output=True)
+    return records.read_bytes() + summary.read_bytes()
+
+
+def test_tuned_simulation_bytes_ignore_thread_settings(tmp_path):
+    # pool size and the BLAS thread count of the process must not reach the
+    # output: matrices this size are where OpenBLAS would start threads
+    outs = {
+        (threads, blas): _simulate_tuned(tmp_path, f"{threads}_{blas}", threads, blas)
+        for threads in (1, 2)
+        for blas in (None, 1)
+    }
+    assert len(set(outs.values())) == 1
+
+
+def test_pool_runs_blas_single_threaded_and_restores_it():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        inside = _pool_map(lambda _: [get() for get, _ in controls], range(4), 2)
+        assert inside == [[1] * len(controls)] * 4
+        assert [get() for get, _ in controls] == [2] * len(controls)
+        run_experiment(small_config(reps=2, methods=("uls", "tl")), threads=2)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
 
 
 def test_retrain_beats_pretrain_under_shift():

@@ -106,7 +106,9 @@ def test_tuned_replication_forms_the_grams_once(calls):
     records = _run_rep(cfg, 0, theta_r, theta_f, {})
     assert all(r.error is not None for r in records)
     assert tally["compute_stats"] == 2
-    assert tally["cholesky"] == 180
+    # the AR(rho) design factor, theta_p, the subsample factor, one per uls+
+    # CV fold, and the graddiff and tl fits; the other CV paths factor nothing
+    assert tally["cholesky"] == 10
 
 
 def test_cli_unlearn_uls_plus_cv_forms_the_grams_once(calls, tmp_path):

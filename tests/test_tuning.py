@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from ulskit import (
     transfer_ridge,
     uls_plus,
 )
+from ulskit.data_model import compute_stats
+from ulskit.errors import IndefiniteObjective, SingularGram
+from ulskit.estimators import SOLVERS, graddiff_threshold
 from ulskit.simulation import mpe
+from ulskit.tuning import CV_METHODS
 
 
 def test_log_grid_decades():
@@ -159,3 +164,115 @@ def test_spec_validation():
         CvSpec(folds=3, grid=(2.0, 1.0))
     with pytest.raises(ValueError):
         log_grid(1.0, 0.5, 3)
+
+
+def _assert_path_is_fit(method, pb, grid):
+    """Column k of the path is fit(pb, grid[k]), or NaN where fit rejects it."""
+    thetas = SOLVERS[method].path(pb, np.array(grid))
+    assert thetas.shape == (pb.st_sub.m.shape[0], len(grid))
+    rejected = []
+    for k, lam in enumerate(grid):
+        try:
+            theta = SOLVERS[method].fit(pb, lam).theta
+        except IndefiniteObjective:
+            rejected.append(k)
+            assert np.all(np.isnan(thetas[:, k])), (method, lam)
+        else:
+            assert_allclose(thetas[:, k], theta, rtol=1e-10, atol=0.0)
+    return rejected
+
+
+@pytest.mark.parametrize("method", CV_METHODS)
+@pytest.mark.parametrize("instance", [
+    dict(seed=10, n_sub=150),
+    dict(seed=11, n_r=600, n_f=0, n_sub=150),  # empty forget set
+    dict(seed=12, p=8, n_sub=9),  # n_sub close to p
+])
+def test_path_columns_are_fits(method, instance):
+    model, _, forget, sub = linear_instance(**instance)
+    pb = prepare(model, forget, sub)
+    grid = log_grid(1e-4, 1e4, 20)
+    rejected = _assert_path_is_fit(method, pb, grid)
+    if method != "graddiff":
+        assert rejected == []
+    if method == "uls+" and forget.n == 0:
+        thetas = SOLVERS[method].path(pb, np.array(grid))
+        assert np.array_equal(thetas, np.repeat(model.theta_p[:, None], 20, axis=1))
+
+
+def test_graddiff_path_infeasible_exactly_where_fit_rejects():
+    model, _, forget, sub = linear_instance(13, n_sub=150)
+    pb = prepare(model, forget, sub)
+    mu_max = graddiff_threshold(pb)
+    scales = (0.25, 0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0, 10.0)
+    rejected = _assert_path_is_fit("graddiff", pb, [mu_max * c for c in scales])
+    assert rejected == [0, 1, 2, 3, 4]
+
+
+def test_graddiff_path_singular_gram_rejects_every_lambda():
+    # n_sub = 3 < p = 5: sigma_sub is singular, so no lambda is feasible
+    model, _, forget, sub = linear_instance(14, n_sub=3)
+    pb = prepare(model, forget, sub)
+    assert graddiff_threshold(pb) == math.inf
+    grid = log_grid(1e-2, 1e6, 9)
+    assert _assert_path_is_fit("graddiff", pb, grid) == list(range(9))
+    with pytest.raises(SingularGram):  # as uls+'s fit does
+        SOLVERS["uls+"].path(pb, np.array(grid))
+
+
+def test_graddiff_cv_never_picks_a_lambda_fit_rejects():
+    # the first candidate lies within rounding of the convexity threshold,
+    # where fit's Cholesky factorization can fail
+    model, _, forget, sub = linear_instance(4, n_sub=200)
+    pb = prepare(model, forget, sub)
+    mu_max = graddiff_threshold(pb)
+    grid = (mu_max * (1 + 1e-13), mu_max * (1 + 1e-3), 2.0 * mu_max)
+    for seed in range(5):
+        lam, _ = cv_select("graddiff", pb, CvSpec(folds=5, grid=grid),
+                           RngStream(seed, 1))
+        SOLVERS["graddiff"].fit(pb, lam)  # must not raise IndefiniteObjective
+
+
+def test_uls_plus_cv_empty_forget_ties_exactly_at_p50():
+    # the no-op scores bit-equal at every lambda, so the largest one wins;
+    # at p = 50 a BLAS product would score equal columns differently
+    model, _, forget, sub = linear_instance(15, n_r=1200, n_f=0, p=50, n_sub=400)
+    spec = CvSpec(folds=5, grid=tuple(log_grid(1e-4, 1e4, 20)))
+    lam, table = cv_select("uls+", prepare(model, forget, sub), spec, RngStream(2, 1))
+    assert lam == spec.grid[-1]
+    for fold in range(5):
+        assert len({mse for _, j, mse in table if j == fold}) == 1
+
+
+def test_graddiff_cv_table_inf_pattern():
+    # a lambda at or below the whole subsample's threshold is inf on every
+    # fold; any other is inf from the first fold it is infeasible on onward
+    model, _, forget, sub = linear_instance(18, n_sub=150)
+    pb = prepare(model, forget, sub)
+    rng_seed = (3, 1)
+    perm = RngStream(*rng_seed).permutation(sub.n)
+    fold_mu = []
+    for j in range(5):
+        idx = np.sort(perm[j::5])
+        held = compute_stats(Dataset(sub.x[idx], sub.y[idx], "subsample"))
+        fold_mu.append(graddiff_threshold(replace(pb, st_sub=pb.st_sub - held)))
+    mu_max = graddiff_threshold(pb)
+    thresholds = np.array([mu_max, *fold_mu])
+    grid = [lam for lam in np.geomspace(0.5 * mu_max, 2.0 * thresholds.max(), 60)
+            if np.min(np.abs(lam / thresholds - 1.0)) > 1e-9]
+    # on this instance the first folds' thresholds lie below the whole one's
+    assert any(fold_mu[0] < lam <= mu_max for lam in grid)
+    _, table = cv_select("graddiff", pb, CvSpec(folds=5, grid=tuple(grid)),
+                         RngStream(*rng_seed))
+    patterns = set()
+    for k, lam in enumerate(grid):
+        row = [math.isinf(mse) for _, _, mse in table[5 * k:5 * k + 5]]
+        if lam <= mu_max:
+            expected = [True] * 5
+        else:
+            bad = [j for j in range(5) if lam <= fold_mu[j]]
+            first = bad[0] if bad else 5
+            expected = [j >= first for j in range(5)]
+        assert row == expected, lam
+        patterns.add(tuple(row))
+    assert len(patterns) >= 3

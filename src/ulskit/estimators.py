@@ -31,7 +31,8 @@ one factorization or eigendecomposition:
     gdiff:  theta(lam) = V diag(1 / (lam - mu)) V' (lam m_sub - m_f),
             where sigma_f V = sigma_sub V diag(mu) and V' sigma_sub V = I
 
-The GradDiff objective is bounded below iff lam > mu_max, the largest mu.
+The GradDiff objective is bounded below iff lam > mu_max, the largest mu. Its
+pencil is reduced through the problem's one subsample Cholesky factor.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from .numerics import (
     cholesky,
     finite_solution,
     max_eigenvalue,
+    pencil_eigh,
     spd_solve,
-    sym_eigh,
 )
 
 _DIVERGE_FACTOR = 1e8
@@ -146,9 +147,9 @@ class Problem:
     interval). ``sub`` and ``forget`` are the rows behind the statistics,
     which gradient descent, the interval noise terms and the
     cross-validation folds read; a fold problem has no ``sub``. The
-    subsample Cholesky factor is computed on first use and then shared. It
-    is lazy because the ridge and GradDiff solvers never need it and must
-    work when n_sub < p.
+    subsample Cholesky factor, and GradDiff's pencil reduced through it, are
+    computed on first use and then shared. They are lazy because the ridge
+    solver never needs them and must work when n_sub < p.
     """
 
     model: PretrainedModel | None
@@ -169,6 +170,11 @@ class Problem:
     @cached_property
     def sub_factor(self) -> SpdFactor:
         return _spd_factor(self.st_sub)
+
+    @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, V): sigma_f V = sigma_sub V diag(mu), V' sigma_sub V = I."""
+        return pencil_eigh(self.sub_factor, self.st_f.sigma)
 
 
 def prepare(
@@ -200,12 +206,20 @@ def _require_squared(pb: Problem, name: str) -> None:
 
 
 def _result(method: str, theta, grad, lam=None) -> EstimateResult:
-    """A fit certified by the norm of its objective gradient at theta."""
+    """A fit certified by the norm of its objective gradient at theta, rescaled
+    where its squares overflow; a norm that is not finite is a ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(grad))
+        if not math.isfinite(norm):
+            top = np.max(np.abs(grad))
+            norm = float(top * np.linalg.norm(grad / top))
+    if not math.isfinite(norm):
+        raise ValueError("the fit's gradient certificate overflows (lam too large?)")
     return EstimateResult(
         theta=theta,
         method=method,
         lambda_used=None if lam is None else float(lam),
-        grad_residual=float(np.linalg.norm(grad)),
+        grad_residual=norm,
     )
 
 
@@ -250,9 +264,8 @@ def _uls_plus(pb: Problem, lam) -> EstimateResult:
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = _sigma_mix_theta_p(pb) + lam * st_sub.m - w.omega_f * st_f.m
     theta = spd_solve(pb.sub_factor, rhs) / (w.omega_r + lam)
-    grad = _uls_objective_grad(theta, pb) + 2.0 * lam * (
-        st_sub.sigma @ theta - st_sub.m
-    )
+    retain_grad = 2.0 * (st_sub.sigma @ theta - st_sub.m)
+    grad = _uls_objective_grad(theta, pb) + lam * retain_grad
     return _result("uls+", theta, grad, lam)
 
 
@@ -277,9 +290,8 @@ def _graddiff(pb: Problem, lam) -> EstimateResult:
             f"lam={lam:g} is below the convexity threshold: {exc}"
         ) from None
     theta = spd_solve(factor, lam * st_sub.m - st_f.m)
-    grad = 2.0 * (st_f.m - st_f.sigma @ theta) + 2.0 * lam * (
-        st_sub.sigma @ theta - st_sub.m
-    )
+    retain_grad = 2.0 * (st_sub.sigma @ theta - st_sub.m)
+    grad = 2.0 * (st_f.m - st_f.sigma @ theta) + lam * retain_grad
     return _result("graddiff", theta, grad, lam)
 
 
@@ -290,8 +302,8 @@ def graddiff_threshold(pb: Problem) -> float:
     lam makes ``lam * sigma_sub - sigma_f`` positive definite.
     """
     try:
-        return max_eigenvalue(pb.st_f.sigma, pb.st_sub.sigma)
-    except NotPositiveDefinite:
+        return float(pb.pencil[0][-1])
+    except SingularGram:
         return math.inf
 
 
@@ -299,8 +311,8 @@ def _graddiff_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "graddiff")
     thetas = np.full((pb.st_sub.m.shape[0], len(lams)), np.nan)
     try:
-        mu, v = sym_eigh(pb.st_f.sigma, pb.st_sub.sigma)
-    except NotPositiveDefinite:  # every lam is infeasible
+        mu, v = pb.pencil
+    except SingularGram:  # every lam is infeasible
         return thetas
     ok = lams > mu[-1]
     lam = lams[ok]
@@ -318,12 +330,12 @@ def _transfer_ridge(pb: Problem, lam) -> EstimateResult:
     st_sub, theta_p = pb.st_sub, pb.theta_p
     a = st_sub.sigma + lam * np.eye(st_sub.sigma.shape[0])
     theta = spd_solve(cholesky(a), st_sub.m + lam * theta_p)
-    grad = 2.0 * (st_sub.sigma @ theta - st_sub.m) + 2.0 * lam * (theta - theta_p)
+    grad = 2.0 * (st_sub.sigma @ theta - st_sub.m) + lam * (2.0 * (theta - theta_p))
     return _result("tl", theta, grad, lam)
 
 
 def _transfer_ridge_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
-    d, q = sym_eigh(pb.st_sub.sigma)
+    d, q = np.linalg.eigh(pb.st_sub.sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         coef = ((q.T @ pb.st_sub.m)[:, None] + lams * (q.T @ pb.theta_p)[:, None]) / (
             d[:, None] + lams

@@ -17,11 +17,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, eigh, toeplitz
+from scipy.linalg import cho_solve, eigh, solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-# A Cholesky pivot at or below PIVOT_FLOOR * trace(A)/dim is treated as a
+# A Cholesky pivot L_ii^2 at or below PIVOT_FLOOR * A_ii is treated as a
 # failure; callers that want ridge stabilization must add it themselves.
 PIVOT_FLOOR = 1e-12
 
@@ -63,9 +63,10 @@ def cholesky(a) -> SpdFactor:
     """Factor a symmetric positive-definite matrix.
 
     Raises :class:`NotPositiveDefinite` when the factorization fails or any
-    pivot falls at or below the jitter floor ``PIVOT_FLOOR * trace(a)/dim``,
-    which is how a singular Gram matrix (e.g. fewer rows than columns)
-    announces itself.
+    pivot of the equilibrated ``diag(a)^-1/2 a diag(a)^-1/2``, ``L_ii**2 /
+    a_ii``, falls at or below ``PIVOT_FLOOR``, which is how a singular Gram
+    matrix (e.g. fewer rows than columns) announces itself. Like Cholesky's
+    accuracy (van der Sluis), the test is invariant to diagonal scaling.
     """
     arr = as_matrix(a, "a")
     n = arr.shape[0]
@@ -78,11 +79,11 @@ def cholesky(a) -> SpdFactor:
         lower = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-    floor = PIVOT_FLOOR * np.trace(arr) / n
-    pivots = np.diag(lower) ** 2
-    if np.any(pivots <= floor):
+    # each ratio lies in (0, 1], so neither it nor its square can overflow
+    ratios = (np.diag(lower) / np.sqrt(np.diag(arr))) ** 2
+    if np.any(ratios <= PIVOT_FLOOR):
         raise NotPositiveDefinite(
-            f"smallest pivot {pivots.min():.3e} at or below floor {floor:.3e}"
+            f"smallest equilibrated pivot {ratios.min():.3e} <= floor {PIVOT_FLOOR:g}"
         )
     return SpdFactor(lower=lower)
 
@@ -110,26 +111,15 @@ def finite_solution(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sym_eigh(a, b=None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues d, ascending, and eigenvectors Q of the symmetric pencil
-    ``a Q = b Q diag(d)`` with ``Q' b Q = I``; b defaults to the identity.
-
-    A b that is not positive definite raises :class:`NotPositiveDefinite`.
-    The operands are not scanned: callers pass finite statistics.
-    """
-    if b is None:
-        return np.linalg.eigh(a)
-    with _pencil_errors():
-        return eigh(a, b, check_finite=False)
-
-
-@contextmanager
-def _pencil_errors():
-    """LAPACK's failure to factor the pencil's b as NotPositiveDefinite."""
-    try:
-        yield
-    except LinAlgError as exc:
-        raise NotPositiveDefinite(f"pencil matrix b: {exc}") from None
+def pencil_eigh(f: SpdFactor, a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues mu, ascending, and eigenvectors V of the pencil ``a V = b V
+    diag(mu)``, ``V' b V = I``, given b's factor L, reduced as LAPACK's sygvd
+    does: the eigenvectors W of ``L^-1 a L^-T`` give ``V = L^-T W``. It stays
+    in scipy's BLAS; numpy's ``eigh`` after scipy's solves contends with it."""
+    half = solve_triangular(f.lower, a, lower=True, check_finite=False)
+    c = solve_triangular(f.lower, half.T, lower=True, check_finite=False)
+    mu, w = eigh(c, driver="evd", check_finite=False)
+    return mu, solve_triangular(f.lower, w, lower=True, trans="T", check_finite=False)
 
 
 class _PhdrInfo(ctypes.Structure):
@@ -206,16 +196,13 @@ def ar1_covariance(p: int, rho: float) -> np.ndarray:
         raise ValueError(f"dimension must be >= 1, got {p}")
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-    return toeplitz(rho ** np.arange(p, dtype=np.float64))
+    k = np.arange(p, dtype=np.float64)
+    return rho ** np.abs(k[:, None] - k)
 
 
-def max_eigenvalue(a: np.ndarray, b=None) -> float:
-    """Largest eigenvalue of a symmetric matrix, or of the pencil (a, b) as
-    in :func:`sym_eigh`."""
-    if b is None:
-        return float(np.linalg.eigvalsh(a)[-1])
-    with _pencil_errors():
-        return float(eigh(a, b, eigvals_only=True, check_finite=False)[-1])
+def max_eigenvalue(a: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix."""
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 class RngStream:

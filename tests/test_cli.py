@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ulskit
-from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv
+from helpers import linear_instance
+from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv, save_model
 from ulskit.cli import main
 
 Z_975 = 1.9599639845400545
@@ -675,3 +676,33 @@ def test_overflowing_solve_prints_only_the_named_error(p3_example):
     assert len(lines) == 1
     assert lines[0].startswith("ValueError: linear solve gave non-finite entries")
     assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("method", ["uls+", "tl", "graddiff"])
+def test_huge_lambda_certificate_is_strict_json(tmp_path, method):
+    # 2 * lam overflows at lam = 1e308 where lam * (2 r) does not, and the
+    # squares of a ~1e300 gradient overflow where its rescaled norm does not
+    model, _, forget, sub = linear_instance(3, p=6, n_sub=150)
+    save_model(model, tmp_path / "model.json")
+    save_csv(forget, tmp_path / "forget.csv")
+    save_csv(sub, tmp_path / "sub.csv")
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "r.json"
+    for lam in ("1e308", "1e300"):
+        proc = subprocess.run([
+            sys.executable, "-m", "ulskit.cli", "unlearn",
+            "--model", str(tmp_path / "model.json"),
+            "--forget", str(tmp_path / "forget.csv"), "--sub", str(tmp_path / "sub.csv"),
+            "--method", method, "--lam", lam, "--out", str(out),
+        ], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        result = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert result["lambda_used"] == float(lam)
+        assert 0.0 <= result["grad_residual"] < float("inf")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,6 +30,7 @@ from ulskit import (
     uls_objective_grad,
     uls_plus,
 )
+from ulskit.estimators import _result
 
 
 def test_ols_sample_mean():
@@ -187,6 +190,17 @@ def test_graddiff_stationary_point(seed):
         + lam / sub.n * loss_grad(SQUARED, fit.theta, sub)
     )
     assert np.linalg.norm(grad) < 1e-6
+
+
+def test_certificate_norm_survives_overflowing_squares():
+    # the squares of 1e300 overflow; the rescaled norm does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = _result("tl", np.zeros(4), np.full(4, 1e300), 1.0)
+        assert fit.grad_residual == pytest.approx(2e300, rel=1e-15)
+        for grad in ([1.0, np.inf], [np.nan, 1.0], [1.5e308, 1.5e308]):
+            with pytest.raises(ValueError, match="certificate overflows"):
+                _result("tl", np.zeros(2), np.array(grad), 1.0)
 
 
 def test_transfer_ridge_limits():

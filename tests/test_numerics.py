@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import toeplitz
 
 from ulskit import (
     DimensionMismatch,
@@ -90,6 +91,13 @@ def test_ar1_entries():
         [[1.0, 0.3, 0.09], [0.3, 1.0, 0.3], [0.09, 0.3, 1.0]]
     )
     assert_allclose(ar1_covariance(3, 0.3), expected)
+
+
+@pytest.mark.parametrize("p", [1, 5, 50, 200])
+@pytest.mark.parametrize("rho", [0.3, -0.7, 0.99])
+def test_ar1_matches_toeplitz_bit_for_bit(p, rho):
+    expected = toeplitz(rho ** np.arange(p, dtype=np.float64))
+    assert np.array_equal(ar1_covariance(p, rho), expected)
 
 
 def test_ar1_zero_rho_is_identity():

@@ -26,7 +26,7 @@ from ulskit import (
     uls,
 )
 from ulskit.cli import main
-from ulskit.estimators import SOLVERS
+from ulskit.estimators import SOLVERS, graddiff_threshold
 from ulskit.simulation import SimConfig, _run_rep, draw_truth
 from ulskit.tuning import CvSpec, log_grid
 
@@ -106,9 +106,24 @@ def test_tuned_replication_forms_the_grams_once(calls):
     records = _run_rep(cfg, 0, theta_r, theta_f, {})
     assert all(r.error is not None for r in records)
     assert tally["compute_stats"] == 2
-    # the AR(rho) design factor, theta_p, the subsample factor, one per uls+
-    # CV fold, and the graddiff and tl fits; the other CV paths factor nothing
-    assert tally["cholesky"] == 10
+    # the AR(rho) design factor, theta_p, the subsample factor (which also
+    # gives graddiff's threshold), one per uls+ and one per graddiff CV fold,
+    # and the graddiff and tl fits; the tl CV path factors nothing
+    assert tally["cholesky"] == 15
+
+
+def test_graddiff_threshold_reuses_the_sub_factor(calls):
+    # the pencil is reduced through the factor uls already formed
+    model, _, forget, sub = linear_instance(10, n_sub=150)
+    pb = prepare(model, forget, sub)
+    uls_fit = SOLVERS["uls"].fit(pb)
+    tally, _ = calls
+    tally.clear()
+    assert graddiff_threshold(pb) < np.inf
+    assert np.all(np.isfinite(SOLVERS["graddiff"].path(pb, np.array([1e3]))))
+    assert tally["cholesky"] == 0
+    assert "pencil" in vars(pb)  # reduced once, then shared by the path
+    assert np.array_equal(SOLVERS["uls"].fit(pb).theta, uls_fit.theta)
 
 
 def test_cli_unlearn_uls_plus_cv_forms_the_grams_once(calls, tmp_path):

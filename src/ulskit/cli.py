@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -124,7 +125,9 @@ def _cmd_infer(args) -> int:
             raise ValueError(f"--coord must lie in [1, {sub.p}]")
         v[args.coord - 1] = 1.0
     else:
-        v = np.atleast_1d(np.loadtxt(args.v_file, dtype=np.float64))
+        with warnings.catch_warnings():  # an empty file fails the check below
+            warnings.simplefilter("ignore", UserWarning)
+            v = np.atleast_1d(np.loadtxt(args.v_file, dtype=np.float64))
         if v.shape != (sub.p,):
             raise SchemaMismatch(
                 f"{args.v_file}: direction has {v.size} entries, expected {sub.p}"

@@ -364,13 +364,16 @@ def load_model(path) -> PretrainedModel:
     missing = required - set(payload)
     if missing:
         raise SchemaMismatch(f"{path}: model JSON missing keys {sorted(missing)}")
+    counts = {k: payload[k] for k in ("n_total", "n_remaining", "n_forget")}
+    for key, value in counts.items():  # ints (not bools), or integral floats
+        if not (type(value) is int or isinstance(value, float) and value.is_integer()):
+            raise SchemaMismatch(f"{path}: {key} must be an integer, got {value!r}")
+        counts[key] = int(value)
     try:
         return PretrainedModel(
             theta_p=np.asarray(payload["theta"], dtype=np.float64),
-            n_total=int(payload["n_total"]),
-            n_remaining=int(payload["n_remaining"]),
-            n_forget=int(payload["n_forget"]),
             loss_id=str(payload["loss"]),
+            **counts,
         )
-    except (TypeError, ValueError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise SchemaMismatch(f"{path}: {exc}") from None

@@ -26,13 +26,17 @@ one factorization or eigendecomposition:
 
     uls+:   theta(lam) = (a + lam b) / (omega_r + lam), where
             sigma_sub a = sigma_mix theta_p - omega_f m_f, sigma_sub b = m_sub
-    ridge:  theta(lam) = Q diag(1 / (d + lam)) Q' (m_sub + lam theta_p),
+    ridge:  theta(lam) = Q (diag(1/(d+lam)) Q'm_sub + diag(lam/(d+lam)) Q'theta_p),
             where sigma_sub = Q diag(d) Q'
-    gdiff:  theta(lam) = V diag(1 / (lam - mu)) V' (lam m_sub - m_f),
+    gdiff:  theta(lam) = V (diag(lam/(lam-mu)) V'm_sub - diag(1/(lam-mu)) V'm_f),
             where sigma_f V = sigma_sub V diag(mu) and V' sigma_sub V = I
 
-The GradDiff objective is bounded below iff lam > mu_max, the largest mu. Its
-pencil is reduced through the problem's one subsample Cholesky factor.
+The ridge and GradDiff paths hold lam only in bounded ratios, so no finite
+lam overflows them. GradDiff's objective is bounded below iff lam > mu_max;
+its path alone decides, by lam - mu_max > PIVOT_FLOOR * lam. The uls+ and
+GradDiff fits are their path's column at one lam, where a NaN column is an
+:class:`IndefiniteObjective`. The ridge fit keeps its Cholesky solve, whose
+error, unlike the eigendecomposition's, is invariant to column scales.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .errors import (
 )
 from .loss import LossFn, get_loss, loss_grad, loss_value
 from .numerics import (
+    PIVOT_FLOOR,
     SpdFactor,
     cholesky,
     finite_solution,
@@ -173,8 +178,13 @@ class Problem:
 
     @cached_property
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, V): sigma_f V = sigma_sub V diag(mu), V' sigma_sub V = I."""
-        return pencil_eigh(self.sub_factor, self.st_f.sigma)
+        """(mu, V): sigma_f V = sigma_sub V diag(mu), V' sigma_sub V = I. With
+        sigma_sub singular, no lam is feasible for GradDiff, and mu is inf."""
+        try:
+            return pencil_eigh(self.sub_factor, self.st_f.sigma)
+        except SingularGram:
+            p = self.st_sub.m.shape[0]
+            return np.full(p, np.inf), np.zeros((p, p))
 
 
 def prepare(
@@ -246,100 +256,71 @@ def _uls(pb: Problem, lam=None) -> EstimateResult:
     return _result("uls", theta, _uls_objective_grad(theta, pb))
 
 
-def _sigma_mix_theta_p(pb: Problem) -> np.ndarray:
-    w, theta_p = pb.w, pb.theta_p
-    return w.omega_r * (pb.st_sub.sigma @ theta_p) + w.omega_f * (
-        pb.st_f.sigma @ theta_p
-    )
-
-
-def _uls_plus(pb: Problem, lam) -> EstimateResult:
-    _require_squared(pb, "uls_plus")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if pb.st_f.n == 0:  # nothing to forget: a no-op
-        return _result("uls+", pb.theta_p.copy(), 0.0, lam)
-    w, st_sub, st_f = pb.w, pb.st_sub, pb.st_f
-    # a huge lam overflows here; spd_solve then names the error
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _sigma_mix_theta_p(pb) + lam * st_sub.m - w.omega_f * st_f.m
-    theta = spd_solve(pb.sub_factor, rhs) / (w.omega_r + lam)
-    retain_grad = 2.0 * (st_sub.sigma @ theta - st_sub.m)
-    grad = _uls_objective_grad(theta, pb) + lam * retain_grad
-    return _result("uls+", theta, grad, lam)
+def _retain_grad(pb: Problem, theta) -> np.ndarray:
+    return 2.0 * (pb.st_sub.sigma @ theta - pb.st_sub.m)
 
 
 def _uls_plus_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "uls_plus")
-    if pb.st_f.n == 0:  # the no-op at every lam
-        return np.repeat(pb.theta_p[:, None], len(lams), axis=1)
-    base = _sigma_mix_theta_p(pb) - pb.w.omega_f * pb.st_f.m
-    a, b = spd_solve(pb.sub_factor, np.column_stack([base, pb.st_sub.m])).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        thetas = (a[:, None] + lams * b[:, None]) / (pb.w.omega_r + lams)
+    if np.any(lams < 0.0):
+        raise ValueError(f"lam must be >= 0, got {lams.min():g}")
+    w, st_sub, st_f, theta_p = pb.w, pb.st_sub, pb.st_f, pb.theta_p
+    if st_f.n == 0:  # the no-op at every lam
+        return np.repeat(theta_p[:, None], len(lams), axis=1)
+    mix = w.omega_r * (st_sub.sigma @ theta_p) + w.omega_f * (st_f.sigma @ theta_p)
+    rhs = np.column_stack([mix - w.omega_f * st_f.m, st_sub.m])
+    a, b = spd_solve(pb.sub_factor, rhs).T
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_solution names it
+        thetas = (a[:, None] + lams * b[:, None]) / (w.omega_r + lams)
     return finite_solution(thetas)
 
 
-def _graddiff(pb: Problem, lam) -> EstimateResult:
-    _require_squared(pb, "graddiff")
-    st_sub, st_f = pb.st_sub, pb.st_f
-    try:
-        factor = cholesky(lam * st_sub.sigma - st_f.sigma)
-    except NotPositiveDefinite as exc:
-        raise IndefiniteObjective(
-            f"lam={lam:g} is below the convexity threshold: {exc}"
-        ) from None
-    theta = spd_solve(factor, lam * st_sub.m - st_f.m)
-    retain_grad = 2.0 * (st_sub.sigma @ theta - st_sub.m)
-    grad = 2.0 * (st_f.m - st_f.sigma @ theta) + lam * retain_grad
-    return _result("graddiff", theta, grad, lam)
+def _uls_plus_grad(pb: Problem, theta, lam):
+    if pb.st_f.n == 0:  # the no-op, as for uls
+        return 0.0
+    return _uls_objective_grad(theta, pb) + lam * _retain_grad(pb, theta)
 
 
 def graddiff_threshold(pb: Problem) -> float:
-    """mu_max: the GradDiff objective is bounded below iff lam > mu_max.
-
-    Infinite when the subsample Gram is not positive definite, since then no
-    lam makes ``lam * sigma_sub - sigma_f`` positive definite.
-    """
-    try:
-        return float(pb.pencil[0][-1])
-    except SingularGram:
-        return math.inf
+    """mu_max: the GradDiff objective is bounded below iff lam > mu_max; inf
+    when the subsample Gram is singular, as then no lam is feasible."""
+    return float(pb.pencil[0][-1])
 
 
 def _graddiff_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "graddiff")
-    thetas = np.full((pb.st_sub.m.shape[0], len(lams)), np.nan)
-    try:
-        mu, v = pb.pencil
-    except SingularGram:  # every lam is infeasible
-        return thetas
-    ok = lams > mu[-1]
-    lam = lams[ok]
-    with np.errstate(over="ignore", invalid="ignore"):
-        coef = (lam * (v.T @ pb.st_sub.m)[:, None] - (v.T @ pb.st_f.m)[:, None]) / (
-            lam - mu[:, None]
-        )
+    mu, v = pb.pencil
+    # lam sigma_sub - sigma_f = L (lam I - C) L': floor lam I - C's eigenvalues
+    ok = lams - mu[-1] > PIVOT_FLOOR * lams
+    gap = lams[ok] - mu[:, None]
+    v_sub, v_f = (v.T @ np.column_stack([pb.st_sub.m, pb.st_f.m])).T
+    coef = (lams[ok] / gap) * v_sub[:, None] - v_f[:, None] / gap
+    thetas = np.full((len(mu), len(lams)), np.nan)
     thetas[:, ok] = finite_solution(v @ coef)
     return thetas
+
+
+def _graddiff_grad(pb: Problem, theta, lam) -> np.ndarray:
+    st_f = pb.st_f
+    return 2.0 * (st_f.m - st_f.sigma @ theta) + lam * _retain_grad(pb, theta)
 
 
 def _transfer_ridge(pb: Problem, lam) -> EstimateResult:
     if lam <= 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
     st_sub, theta_p = pb.st_sub, pb.theta_p
-    a = st_sub.sigma + lam * np.eye(st_sub.sigma.shape[0])
-    theta = spd_solve(cholesky(a), st_sub.m + lam * theta_p)
-    grad = 2.0 * (st_sub.sigma @ theta - st_sub.m) + lam * (2.0 * (theta - theta_p))
+    s = max(1.0, lam)  # the system over s: nothing overflows; lam <= 1 keeps its bits
+    a = st_sub.sigma / s + (lam / s) * np.eye(st_sub.sigma.shape[0])
+    theta = spd_solve(cholesky(a), st_sub.m / s + (lam / s) * theta_p)
+    grad = _retain_grad(pb, theta) + lam * (2.0 * (theta - theta_p))
     return _result("tl", theta, grad, lam)
 
 
 def _transfer_ridge_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     d, q = np.linalg.eigh(pb.st_sub.sigma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coef = ((q.T @ pb.st_sub.m)[:, None] + lams * (q.T @ pb.theta_p)[:, None]) / (
-            d[:, None] + lams
-        )
+    shift = d[:, None] + lams
+    q_m, q_theta_p = (q.T @ np.column_stack([pb.st_sub.m, pb.theta_p])).T
+    coef = q_m[:, None] / shift + (lams / shift) * q_theta_p[:, None]
     return finite_solution(q @ coef)
 
 
@@ -356,9 +337,9 @@ class Solver(NamedTuple):
 
     A ``tuned`` method takes a lambda picked by cross-validation; the others
     ignore ``lam``. A tuned method also has ``path(problem, lams)``: the p x L
-    matrix whose columns are the coefficients of ``fit`` at the L positive
-    ``lams``. A NaN column marks a lam at which the objective is unbounded
-    below, where ``fit`` raises :class:`IndefiniteObjective`.
+    matrix whose columns are the coefficients of ``fit`` at the L ``lams``.
+    A NaN column marks a lam at which the objective is unbounded below, where
+    ``fit`` raises :class:`IndefiniteObjective`.
     """
 
     fit: Callable[[Problem, float | None], EstimateResult]
@@ -369,11 +350,25 @@ class Solver(NamedTuple):
         return self.path is not None
 
 
+def _path_solver(method: str, path, grad) -> Solver:
+    """A tuned solver whose fit is its path's column, certified by ``grad``."""
+
+    def fit(pb: Problem, lam) -> EstimateResult:
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
+        theta = path(pb, np.array([lam], dtype=np.float64))[:, 0]
+        if np.isnan(theta).any():
+            raise IndefiniteObjective(f"lam={lam:g} is below the convexity threshold")
+        return _result(method, theta, grad(pb, theta, lam), lam)
+
+    return Solver(fit, path)
+
+
 SOLVERS = {
     "ols": Solver(_ols),
     "uls": Solver(_uls),
-    "uls+": Solver(_uls_plus, _uls_plus_path),
-    "graddiff": Solver(_graddiff, _graddiff_path),
+    "uls+": _path_solver("uls+", _uls_plus_path, _uls_plus_grad),
+    "graddiff": _path_solver("graddiff", _graddiff_path, _graddiff_grad),
     "tl": Solver(_transfer_ridge, _transfer_ridge_path),
     "gd": Solver(_gd),
 }

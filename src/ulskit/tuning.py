@@ -9,13 +9,12 @@ eigendecomposition (ridge, GradDiff), and one vectorized expression scores
 them all by squared prediction error on the held-out fold. Ties break toward
 the larger (more conservative) lambda.
 
-GradDiff's objective is bounded below only for lambda above its convexity
-threshold mu_max (:func:`~ulskit.estimators.graddiff_threshold`), which
-differs from fold to fold. Infeasible candidates get an infinite score
-rather than failing the search: a lambda at or below the full subsample's
-threshold scores inf on every fold, and any other lambda scores inf from the
-first fold it is infeasible on onward. :func:`plugin_lambda` is the
-closed-form alternative for uls+.
+GradDiff's objective is bounded below only for lambda above a convexity
+threshold, which differs from fold to fold; its path marks an infeasible
+lambda with a NaN column, and its fit is a column of that path. Infeasible
+candidates score inf rather than failing the search: on every fold if the
+fit on the full subsample would reject them, else from the first fold they
+are infeasible on. :func:`plugin_lambda` is the closed-form rule for uls+.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .data_model import Dataset, SufficientStats
 from .errors import InsufficientData, NoFeasibleLambda
-from .estimators import SOLVERS, Problem, graddiff_threshold, ols_theta
+from .estimators import SOLVERS, Problem, ols_theta
 from .numerics import RngStream
 
 CV_METHODS = tuple(name for name, solver in SOLVERS.items() if solver.tuned)
@@ -130,7 +129,7 @@ def cv_select(
     held_idx = [np.sort(perm[j::spec.folds]) for j in range(spec.folds)]
     alive = np.full(len(grid), True)
     if method == "graddiff":  # infeasible on the whole subsample: inf on every fold
-        alive = grid > graddiff_threshold(pb)
+        alive = ~np.isnan(path(pb, grid)).any(axis=0)
     scores = np.empty((spec.folds, len(grid)))
     for j, idx in enumerate(held_idx):
         held, yy = _fold_stats(sub, idx)

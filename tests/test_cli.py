@@ -706,3 +706,76 @@ def test_huge_lambda_certificate_is_strict_json(tmp_path, method):
         result = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert result["lambda_used"] == float(lam)
         assert 0.0 <= result["grad_residual"] < float("inf")
+
+
+_COUNTS_MODEL = ('{"theta": [2.0], "n_total": 10, "n_remaining": 9, "n_forget": 1,'
+                 ' "loss": "squared"}')
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"n_total": 10', '"n_total": 10.7'),
+    ('"n_forget": 1', '"n_forget": true'),
+    ('"n_total": 10', '"n_total": "10"'),
+    ('"n_total": 10', '"n_total": 1e400'),
+    ('[2.0]', "[" + "9" * 400 + "]"),
+], ids=["fractional", "bool", "string", "overflowing-count", "overflowing-theta"])
+def test_model_json_counts_are_integers(worked_example, old, new, capsys):
+    model, forget, sub, tmp = worked_example
+    argv = ["unlearn", "--model", str(model), "--forget", str(forget),
+            "--sub", str(sub), "--out", str(tmp / "r.json")]
+    model.write_text(_COUNTS_MODEL)
+    assert main(argv) == 0  # the payload before the one edit is valid
+    capsys.readouterr()
+    model.write_text(_COUNTS_MODEL.replace(old, new))
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("SchemaMismatch"), lines
+
+
+@pytest.mark.filterwarnings("error")
+def test_infer_empty_v_file_prints_only_the_named_error(p3_example, capsys):
+    paths, tmp = p3_example
+    vfile = tmp / "v.txt"
+    vfile.write_text("")
+    code = main([
+        "infer", "--sub", str(paths["sub"]), "--method", "ols",
+        "--v-file", str(vfile), "--out", str(tmp / "r.json"),
+    ])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("SchemaMismatch"), lines
+    assert "0 entries" in lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["graddiff", "tl"])
+def test_huge_lambda_fits_cleanly(p3_example, method, capsys):
+    # lam enters the GradDiff path and the tl system only through bounded
+    # ratios, where lam * theta_p or lam * sigma_sub would overflow
+    paths, tmp = p3_example
+    out = tmp / "r.json"
+    code = main([
+        "unlearn", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+        "--sub", str(paths["sub"]), "--method", method, "--lam", "1e308",
+        "--out", str(out),
+    ])
+    assert (code, capsys.readouterr().err) == (0, "")
+    result = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert result["lambda_used"] == 1e308
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["graddiff", "tl"])
+@pytest.mark.parametrize("seed", [2, 4, 5, 6, 7])
+def test_cv_grid_up_to_the_largest_float(tmp_path, seed, method, capsys):
+    # on these instances the CV picks lam = 1e308 (tl) or scores it (graddiff)
+    model, _, forget, sub = linear_instance(seed, p=6, n_sub=150)
+    save_model(model, tmp_path / "model.json")
+    save_csv(forget, tmp_path / "forget.csv")
+    save_csv(sub, tmp_path / "sub.csv")
+    code = main([
+        "unlearn", "--model", str(tmp_path / "model.json"),
+        "--forget", str(tmp_path / "forget.csv"), "--sub", str(tmp_path / "sub.csv"),
+        "--method", method, "--grid-hi", "1e308", "--out", str(tmp_path / "r.json"),
+    ])
+    assert (code, capsys.readouterr().err) == (0, "")

@@ -24,13 +24,14 @@ from ulskit import (
     loss_grad,
     loss_value,
     ols_fit,
+    prepare,
     pretrain,
     transfer_ridge,
     uls,
     uls_objective_grad,
     uls_plus,
 )
-from ulskit.estimators import _result
+from ulskit.estimators import SOLVERS, _result
 
 
 def test_ols_sample_mean():
@@ -190,6 +191,14 @@ def test_graddiff_stationary_point(seed):
         + lam / sub.n * loss_grad(SQUARED, fit.theta, sub)
     )
     assert np.linalg.norm(grad) < 1e-6
+
+
+@pytest.mark.parametrize("method", ["uls+", "graddiff", "tl"])
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_non_finite_lambda_is_an_input_error(method, lam):
+    model, _, forget, sub = linear_instance(4)
+    with pytest.raises(ValueError):
+        SOLVERS[method].fit(prepare(model, forget, sub), lam)
 
 
 def test_certificate_norm_survives_overflowing_squares():

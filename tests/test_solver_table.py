@@ -107,9 +107,9 @@ def test_tuned_replication_forms_the_grams_once(calls):
     assert all(r.error is not None for r in records)
     assert tally["compute_stats"] == 2
     # the AR(rho) design factor, theta_p, the subsample factor (which also
-    # gives graddiff's threshold), one per uls+ and one per graddiff CV fold,
-    # and the graddiff and tl fits; the tl CV path factors nothing
-    assert tally["cholesky"] == 15
+    # gives graddiff's pencil, read by its CV and its fit), one per uls+ and
+    # one per graddiff CV fold, and the tl fit; the tl CV path factors nothing
+    assert tally["cholesky"] == 14
 
 
 def test_graddiff_threshold_reuses_the_sub_factor(calls):
@@ -124,6 +124,19 @@ def test_graddiff_threshold_reuses_the_sub_factor(calls):
     assert tally["cholesky"] == 0
     assert "pencil" in vars(pb)  # reduced once, then shared by the path
     assert np.array_equal(SOLVERS["uls"].fit(pb).theta, uls_fit.theta)
+
+
+def test_graddiff_fit_reuses_the_pencil(calls):
+    # the fit is a column of the path, so after the threshold it factors nothing
+    model, _, forget, sub = linear_instance(11, n_sub=150)
+    pb = prepare(model, forget, sub)
+    lam = 2.0 * graddiff_threshold(pb)
+    tally, _ = calls
+    tally.clear()
+    fit = SOLVERS["graddiff"].fit(pb, lam)
+    assert tally["cholesky"] == 0
+    column = SOLVERS["graddiff"].path(pb, np.array([lam]))[:, 0]
+    assert np.array_equal(fit.theta, column)
 
 
 def test_cli_unlearn_uls_plus_cv_forms_the_grams_once(calls, tmp_path):

@@ -166,19 +166,36 @@ def test_spec_validation():
         log_grid(1.0, 0.5, 3)
 
 
+def _normal_equations(method, pb, lam):
+    """The method's normal equations at lam, as (matrix, right-hand side)."""
+    sub, f, w, theta_p = pb.st_sub, pb.st_f, pb.w, pb.theta_p
+    if method == "uls+":
+        mix = w.omega_r * sub.sigma + w.omega_f * f.sigma
+        return ((w.omega_r + lam) * sub.sigma,
+                mix @ theta_p + lam * sub.m - w.omega_f * f.m)
+    if method == "graddiff":
+        return lam * sub.sigma - f.sigma, lam * sub.m - f.m
+    return sub.sigma + lam * np.eye(len(theta_p)), sub.m + lam * theta_p
+
+
 def _assert_path_is_fit(method, pb, grid):
-    """Column k of the path is fit(pb, grid[k]), or NaN where fit rejects it."""
+    """Column k of the path solves the method's normal equations at grid[k]
+    (uls+ on an empty forget set: the no-op), or is NaN where fit rejects it."""
     thetas = SOLVERS[method].path(pb, np.array(grid))
     assert thetas.shape == (pb.st_sub.m.shape[0], len(grid))
     rejected = []
     for k, lam in enumerate(grid):
-        try:
-            theta = SOLVERS[method].fit(pb, lam).theta
-        except IndefiniteObjective:
+        if np.isnan(thetas[:, k]).any():
             rejected.append(k)
             assert np.all(np.isnan(thetas[:, k])), (method, lam)
+            with pytest.raises(IndefiniteObjective):
+                SOLVERS[method].fit(pb, lam)
+            continue
+        if method == "uls+" and pb.st_f.n == 0:
+            expected = pb.theta_p
         else:
-            assert_allclose(thetas[:, k], theta, rtol=1e-10, atol=0.0)
+            expected = np.linalg.solve(*_normal_equations(method, pb, lam))
+        assert_allclose(thetas[:, k], expected, rtol=1e-10, atol=0.0)
     return rejected
 
 
@@ -231,6 +248,26 @@ def test_graddiff_cv_never_picks_a_lambda_fit_rejects():
         lam, _ = cv_select("graddiff", pb, CvSpec(folds=5, grid=grid),
                            RngStream(seed, 1))
         SOLVERS["graddiff"].fit(pb, lam)  # must not raise IndefiniteObjective
+
+
+def test_graddiff_fit_rejects_what_its_path_rejects():
+    # within the pivot floor of the threshold, the fit is the path's NaN column
+    model, _, forget, sub = linear_instance(4, n_sub=200)
+    pb = prepare(model, forget, sub)
+    lam = graddiff_threshold(pb) * (1 + 1e-13)
+    assert np.all(np.isnan(SOLVERS["graddiff"].path(pb, np.array([lam]))))
+    with pytest.raises(IndefiniteObjective):
+        SOLVERS["graddiff"].fit(pb, lam)
+
+
+def test_tl_fit_and_path_agree_at_huge_lambda():
+    # the fit divides its system by max(1, lam), the path holds lam in ratios
+    model, _, forget, sub = linear_instance(2, p=6, n_sub=150)
+    pb = prepare(model, forget, sub)
+    lams = np.array([1e4, 1e300, 1e308])
+    thetas = SOLVERS["tl"].path(pb, lams)
+    for k, lam in enumerate(lams):
+        assert_allclose(SOLVERS["tl"].fit(pb, lam).theta, thetas[:, k], rtol=1e-12)
 
 
 def test_uls_plus_cv_empty_forget_ties_exactly_at_p50():

@@ -11,12 +11,12 @@ from .data_model import (
     Dataset,
     PretrainedModel,
     SufficientStats,
-    WeightProfile,
     compute_stats,
     concat_datasets,
     load_csv,
     load_model,
     save_csv,
+    save_json,
     save_model,
     split_train_test,
     subsample,
@@ -80,6 +80,5 @@ from .simulation import (
     run_experiment,
     summarize,
     write_records,
-    write_summary,
 )
 from .tuning import CvSpec, cv_select, log_grid, plugin_lambda

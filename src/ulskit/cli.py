@@ -11,16 +11,23 @@ error names go to stderr. The ULS_THREADS environment variable overrides
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .data_model import compute_stats, load_csv, load_model, save_model, subsample
+from .data_model import (
+    compute_stats,
+    load_csv,
+    load_model,
+    save_json,
+    save_model,
+    subsample,
+)
 from .errors import ParseError, SchemaMismatch, UlsError
 from .estimators import SOLVERS, GdConfig, prepare, pretrain
 from .inference import INTERVALS, ci_ols, ci_uls
@@ -36,9 +43,16 @@ from .simulation import (
     pooled_problem,
     run_experiment,
     write_records,
-    write_summary,
 )
-from .tuning import CvSpec, cv_select, log_grid, plugin_lambda
+from .tuning import (
+    CV_FOLDS,
+    CV_GRID_HI,
+    CV_GRID_LO,
+    CV_GRID_SIZE,
+    cv_select,
+    cv_spec,
+    plugin_lambda,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,26 +68,16 @@ def _threads(args) -> int | None:
     return None if raw is None else int(raw)
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _cv_spec(args) -> CvSpec:
-    return CvSpec(
-        folds=args.folds,
-        grid=tuple(log_grid(args.grid_lo, args.grid_hi, args.grid_size)),
-    )
-
-
-def _add_cv_flags(parser, defaults=(5, 1e-4, 1e4, 20)) -> None:
-    """The CV flags; simulate passes Nones so that its config decides."""
-    folds, lo, hi, size = defaults
-    parser.add_argument("--folds", type=int, default=folds)
-    parser.add_argument("--grid-lo", type=float, default=lo)
-    parser.add_argument("--grid-hi", type=float, default=hi)
-    parser.add_argument("--grid-size", type=int, default=size)
+def _add_cv_flags(parser, with_defaults: bool = True) -> None:
+    """The CV flags, under SimConfig's cv_* names. They default to tuning's
+    search, except for simulate, whose absent flags leave its config to decide."""
+    parser.add_argument("--folds", dest="cv_folds", type=int)
+    parser.add_argument("--grid-lo", dest="cv_grid_lo", type=float)
+    parser.add_argument("--grid-hi", dest="cv_grid_hi", type=float)
+    parser.add_argument("--grid-size", dest="cv_grid_size", type=int)
+    if with_defaults:
+        parser.set_defaults(cv_folds=CV_FOLDS, cv_grid_lo=CV_GRID_LO,
+                            cv_grid_hi=CV_GRID_HI, cv_grid_size=CV_GRID_SIZE)
 
 
 def _cmd_pretrain(args) -> int:
@@ -101,13 +105,16 @@ def _cmd_unlearn(args) -> int:
         lam = plugin_lambda(pb)
     elif solver.tuned:
         rng = RngStream(args.cv_seed, 0)
-        lam, cv_table = cv_select(args.method, pb, _cv_spec(args), rng)
+        spec = cv_spec(
+            args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size
+        )
+        lam, cv_table = cv_select(args.method, pb, spec, rng)
     else:
         lam = None
 
     result = solver.fit(pb, lam)
 
-    _write_json(result.to_json_dict(), args.out)
+    save_json(result.to_json_dict(), args.out)
     if args.cv_table and cv_table is not None:
         with open(args.cv_table, "w", encoding="utf-8") as fh:
             fh.write("lambda,fold,mse\n")
@@ -118,7 +125,13 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    sub = load_csv(args.sub, role="subsample")
+    model = forget = None
+    if args.method == "uls":  # the model first: it fixes p for both CSVs
+        if not args.model or not args.forget:
+            raise ValueError("--model and --forget are required for --method uls")
+        model = load_model(args.model)
+        forget = load_csv(args.forget, role="forget", expected_p=model.p)
+    sub = load_csv(args.sub, role="subsample", expected_p=model.p if model else None)
     if args.coord is not None:
         v = np.zeros(sub.p)
         if not 1 <= args.coord <= sub.p:
@@ -129,20 +142,17 @@ def _cmd_infer(args) -> int:
             warnings.simplefilter("ignore", UserWarning)
             v = np.atleast_1d(np.loadtxt(args.v_file, dtype=np.float64))
         if v.shape != (sub.p,):
+            got = f"{v.size} entries" if v.ndim == 1 else f"shape {v.shape}"
             raise SchemaMismatch(
-                f"{args.v_file}: direction has {v.size} entries, expected {sub.p}"
+                f"{args.v_file}: direction has {got}, expected {sub.p} entries"
             )
 
-    if args.method == "ols":
+    if model is None:
         report = ci_ols(sub, v, args.alpha)
     else:
-        if not args.model or not args.forget:
-            raise ValueError("--model and --forget are required for --method uls")
-        model = load_model(args.model)
-        forget = load_csv(args.forget, role="forget", expected_p=model.p)
         report = ci_uls(model, forget, sub, v, args.alpha)
 
-    _write_json(report.to_json_dict(), args.out)
+    save_json(report.to_json_dict(), args.out)
     print(
         f"wrote {args.out} (point={report.point:.6g},"
         f" ci=[{report.ci_lo:.6g}, {report.ci_hi:.6g}])"
@@ -151,35 +161,15 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    fields = {
-        "n_r": args.nr,
-        "n_f": args.nf,
-        "p": args.p,
-        "subsample_ratio": args.ratio,
-        "delta": args.delta,
-        "rho_f": args.rho,
-        "reps": args.reps,
-        "seed": args.seed,
-        "v_direction": args.v_coord,
-        "alpha": args.alpha,
-        "cv_folds": args.folds,
-        "cv_grid_size": args.grid_size,
-        "cv_grid_lo": args.grid_lo,
-        "cv_grid_hi": args.grid_hi,
-    }
-    kwargs = dict(PRESETS[args.preset]) if args.preset else {}
-    kwargs.update({k: v for k, v in fields.items() if v is not None})
-    if args.methods:
-        kwargs["methods"] = tuple(args.methods.split(","))
-    if args.oracle_lambda:
-        kwargs["oracle_lambda"] = True
-    if args.redraw_truth:
-        kwargs["redraw_truth"] = True
-    cfg = SimConfig(**kwargs)
+    given = {f.name: getattr(args, f.name) for f in fields(SimConfig) if f.name in args}
+    methods = given.pop("methods", "")
+    if methods:  # "" means the default methods, as in bench
+        given["methods"] = tuple(methods.split(","))
+    cfg = SimConfig(**{**PRESETS.get(args.preset, {}), **given})
 
     records, summary = run_experiment(cfg, threads=_threads(args))
     write_records(records, args.records, include_timing=args.timing)
-    write_summary(summary, args.summary, include_timing=args.timing)
+    save_json(summary.to_json_dict(args.timing), args.summary)
     print(f"wrote {args.records} and {args.summary} ({cfg.reps} replications)")
     return EXIT_OK
 
@@ -194,7 +184,7 @@ def _cmd_bench(args) -> int:
 
     n_sub = max(1, int(round(args.ratio * remaining.n)))
     sub = subsample(remaining, n_sub, RngStream(args.seed, 1))
-    spec = _cv_spec(args)
+    spec = cv_spec(args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size)
     st_r = compute_stats(remaining)
     pb = pooled_problem(st_r, compute_stats(sub), forget, sub)
 
@@ -279,26 +269,28 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--out", required=True)
     i.set_defaults(func=_cmd_infer)
 
-    s = sub.add_parser("simulate", help="Monte Carlo study of the estimators")
+    # a config flag is stored under its SimConfig field name, and only if given
+    s = sub.add_parser("simulate", help="Monte Carlo study of the estimators",
+                       argument_default=argparse.SUPPRESS)
     s.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    s.add_argument("--nr", type=int, default=None)
-    s.add_argument("--nf", type=int, default=None)
-    s.add_argument("--p", type=int, default=None)
-    s.add_argument("--ratio", type=float, default=None)
-    s.add_argument("--delta", type=float, default=None)
-    s.add_argument("--rho", type=float, default=None)
-    s.add_argument("--reps", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--methods", default=None,
+    s.add_argument("--nr", dest="n_r", type=int)
+    s.add_argument("--nf", dest="n_f", type=int)
+    s.add_argument("--p", type=int)
+    s.add_argument("--ratio", dest="subsample_ratio", type=float)
+    s.add_argument("--delta", type=float)
+    s.add_argument("--rho", dest="rho_f", type=float)
+    s.add_argument("--reps", type=int)
+    s.add_argument("--seed", type=int)
+    s.add_argument("--methods",
                    help="comma-separated subset of " + ",".join(METHODS))
-    s.add_argument("--v-coord", type=int, default=None)
-    s.add_argument("--alpha", type=float, default=None)
+    s.add_argument("--v-coord", dest="v_direction", type=int)
+    s.add_argument("--alpha", type=float)
     s.add_argument("--oracle-lambda", action="store_true",
                    help="use the theory-guided lambda rules instead of CV")
     s.add_argument("--redraw-truth", action="store_true")
-    _add_cv_flags(s, (None,) * 4)
+    _add_cv_flags(s, with_defaults=False)
     s.add_argument("--threads", type=int, default=None)
-    s.add_argument("--timing", action="store_true",
+    s.add_argument("--timing", action="store_true", default=False,
                    help="fill the millis columns (breaks byte reproducibility)")
     s.add_argument("--records", required=True)
     s.add_argument("--summary", required=True)

@@ -1,10 +1,11 @@
-"""Datasets, sufficient statistics, subsampling, and file formats.
+"""Datasets, sufficient statistics, the pretrained model, and file formats.
 
 A dataset is an immutable (X, y) pair with a role tag. All squared-loss
 machinery downstream consumes datasets through their normalized sufficient
 statistics: the Gram matrix X'X/n and cross-moment X'y/n. Normalizing by the
 dataset's own row count keeps the remaining/forget weight algebra free of
-sample-size scaling mistakes.
+sample-size scaling mistakes; the weights themselves, omega_f = Nf/N and
+omega_r = 1 - omega_f, are properties of the pretrained model.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class PretrainedModel:
-    """Coefficients fitted on the full data plus the sample-count bookkeeping."""
+    """Coefficients fitted on the full data plus the sample-count bookkeeping,
+    from which the proportions :attr:`omega_f` and :attr:`omega_r` follow."""
 
     theta_p: np.ndarray
     n_total: int
@@ -139,38 +141,15 @@ class PretrainedModel:
     def p(self) -> int:
         return self.theta_p.shape[0]
 
-    def weights(self, n_sub: int | None = None) -> "WeightProfile":
-        return WeightProfile.from_counts(
-            self.n_total, self.n_remaining, self.n_forget, n_sub
-        )
+    @property
+    def omega_f(self) -> float:
+        """The forget proportion N_f / N."""
+        return self.n_forget / self.n_total
 
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """Forget/remaining proportions; omega_f + omega_r = 1 exactly."""
-
-    omega_f: float
-    omega_r: float
-    tilde_omega_r: float = 1.0
-
-    @classmethod
-    def from_counts(
-        cls,
-        n_total: int,
-        n_remaining: int,
-        n_forget: int,
-        n_sub: int | None = None,
-    ) -> "WeightProfile":
-        if n_total != n_remaining + n_forget:
-            raise ValueError("counts are inconsistent")
-        omega_f = n_forget / n_total
-        if not 0.0 <= omega_f < 1.0:
-            raise ValueError(f"omega_f must lie in [0, 1), got {omega_f}")
-        tilde = 1.0 if n_sub is None else n_sub / n_remaining
-        if not 0.0 < tilde <= 1.0:
-            raise ValueError(f"tilde_omega_r must lie in (0, 1], got {tilde}")
-        # exact complement so omega_f + omega_r == 1 holds bitwise
-        return cls(omega_f=omega_f, omega_r=1.0 - omega_f, tilde_omega_r=tilde)
+    @property
+    def omega_r(self) -> float:
+        """The remaining proportion, the exact complement: omega_f + omega_r == 1."""
+        return 1.0 - self.omega_f
 
 
 def compute_stats(d: Dataset) -> SufficientStats:
@@ -224,7 +203,8 @@ def split_train_test(d: Dataset, test_fraction: float, rng: RngStream):
 # CSV: header "y,x1,...,xp", float() literals, UTF-8, comma separator, one
 # record per line, no comment or blank lines; a quoted cell reads as unquoted.
 # Model JSON: {"theta": [...], "n_total": N, "n_remaining": Nr, "n_forget": Nf,
-# "loss": "squared"|"logistic"}.
+# "loss": "squared"|"logistic"}. Results and summaries: indented JSON with
+# sorted keys (save_json).
 
 _HEADER_RE = re.compile(r"^x([1-9][0-9]*)$")
 
@@ -337,6 +317,13 @@ def save_csv(d: Dataset, path) -> None:
         header = "y," + ",".join(f"x{j}" for j in range(1, d.p + 1))
         fh.write(header + "\n")
         np.savetxt(fh, np.column_stack([d.y, d.x]), fmt="%.17g", delimiter=",")
+
+
+def save_json(payload: dict, path) -> None:
+    """Write a result or summary as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_model(model: PretrainedModel, path) -> None:

@@ -2,8 +2,9 @@
 
 All closed forms are expressed through normalized sufficient statistics. With
 sigma_sub = X_sub'X_sub/n_sub, m_sub = X_sub'y_sub/n_sub (likewise sigma_f,
-m_f over the forget rows) and the weights omega_f = Nf/N, omega_r = Nr/N from
-the pretrained model, the estimators solve:
+m_f over the forget rows) and the pretrained model's proportions
+omega_f = Nf/N and omega_r = 1 - omega_f (its properties ``omega_f`` and
+``omega_r``), the estimators solve:
 
     uls:    omega_r sigma_sub theta = sigma_mix theta_p - omega_f m_f
     uls+:   (omega_r + lam) sigma_sub theta
@@ -52,7 +53,6 @@ from .data_model import (
     Dataset,
     PretrainedModel,
     SufficientStats,
-    WeightProfile,
     compute_stats,
 )
 from .errors import (
@@ -149,7 +149,8 @@ class Problem:
     """One unlearning problem with its statistics formed once.
 
     ``model`` is None when only the subsample matters (OLS and its
-    interval). ``sub`` and ``forget`` are the rows behind the statistics,
+    interval); otherwise it holds theta_p and the weights omega_f and
+    omega_r. ``sub`` and ``forget`` are the rows behind the statistics,
     which gradient descent, the interval noise terms and the
     cross-validation folds read; a fold problem has no ``sub``. The
     subsample Cholesky factor, and GradDiff's pencil reduced through it, are
@@ -167,10 +168,6 @@ class Problem:
     @property
     def theta_p(self) -> np.ndarray:
         return self.model.theta_p
-
-    @cached_property
-    def w(self) -> WeightProfile:
-        return self.model.weights()
 
     @cached_property
     def sub_factor(self) -> SpdFactor:
@@ -234,10 +231,10 @@ def _result(method: str, theta, grad, lam=None) -> EstimateResult:
 
 
 def _uls_objective_grad(theta, pb: Problem) -> np.ndarray:
-    w, st_sub, st_f = pb.w, pb.st_sub, pb.st_f
+    om_f, om_r, st_sub, st_f = pb.model.omega_f, pb.model.omega_r, pb.st_sub, pb.st_f
     gap = pb.theta_p - theta
-    sigma_mix_gap = w.omega_r * (st_sub.sigma @ gap) + w.omega_f * (st_f.sigma @ gap)
-    return 2.0 * w.omega_f * (st_f.m - st_f.sigma @ theta) - 2.0 * sigma_mix_gap
+    sigma_mix_gap = om_r * (st_sub.sigma @ gap) + om_f * (st_f.sigma @ gap)
+    return 2.0 * om_f * (st_f.m - st_f.sigma @ theta) - 2.0 * sigma_mix_gap
 
 
 def _ols(pb: Problem, lam=None) -> EstimateResult:
@@ -252,7 +249,7 @@ def _uls(pb: Problem, lam=None) -> EstimateResult:
         return _result("uls", pb.theta_p.copy(), 0.0)
     st_f = pb.st_f
     correction = spd_solve(pb.sub_factor, st_f.sigma @ pb.theta_p - st_f.m)
-    theta = pb.theta_p + (pb.w.omega_f / pb.w.omega_r) * correction
+    theta = pb.theta_p + (pb.model.omega_f / pb.model.omega_r) * correction
     return _result("uls", theta, _uls_objective_grad(theta, pb))
 
 
@@ -264,14 +261,15 @@ def _uls_plus_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "uls_plus")
     if np.any(lams < 0.0):
         raise ValueError(f"lam must be >= 0, got {lams.min():g}")
-    w, st_sub, st_f, theta_p = pb.w, pb.st_sub, pb.st_f, pb.theta_p
+    om_f, om_r, st_sub, st_f = pb.model.omega_f, pb.model.omega_r, pb.st_sub, pb.st_f
+    theta_p = pb.theta_p
     if st_f.n == 0:  # the no-op at every lam
         return np.repeat(theta_p[:, None], len(lams), axis=1)
-    mix = w.omega_r * (st_sub.sigma @ theta_p) + w.omega_f * (st_f.sigma @ theta_p)
-    rhs = np.column_stack([mix - w.omega_f * st_f.m, st_sub.m])
+    mix = om_r * (st_sub.sigma @ theta_p) + om_f * (st_f.sigma @ theta_p)
+    rhs = np.column_stack([mix - om_f * st_f.m, st_sub.m])
     a, b = spd_solve(pb.sub_factor, rhs).T
     with np.errstate(over="ignore", invalid="ignore"):  # finite_solution names it
-        thetas = (a[:, None] + lams * b[:, None]) / (w.omega_r + lams)
+        thetas = (a[:, None] + lams * b[:, None]) / (om_r + lams)
     return finite_solution(thetas)
 
 

@@ -241,9 +241,6 @@ class RngStream:
         idx = self._gen.choice(n, size=k, replace=False, shuffle=False)
         return np.sort(idx)
 
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
-
 
 def sample_gaussian(rng: RngStream, mean, cov_factor: SpdFactor, n: int) -> np.ndarray:
     """Draw n rows of N(mean, L @ L.T) as mean + z @ L.T with z std normal."""

@@ -21,7 +21,6 @@ once per experiment unless per-rep redraws are requested.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -33,7 +32,6 @@ from .data_model import (
     Dataset,
     PretrainedModel,
     SufficientStats,
-    WeightProfile,
     compute_stats,
     subsample,
 )
@@ -48,21 +46,13 @@ from .numerics import (
     cholesky,
     sample_gaussian,
 )
-from .tuning import CvSpec, cv_select, log_grid
+from .tuning import CV_FOLDS, CV_GRID_HI, CV_GRID_LO, CV_GRID_SIZE, cv_select, cv_spec
 
 # the retrain and pretrain references, then every unlearner of the table;
 # those with an entry in INTERVALS also record CI coverage and sd
 METHODS = ("retrain", "pretrain", *SOLVERS)
 
-PRESETS = {
-    "table1": {
-        "n_r": 20_000,
-        "n_f": 1_000,
-        "p": 50,
-        "subsample_ratio": 0.2,
-        "delta": 2.0,
-    },
-}
+PRESETS = {"table1": {}}  # SimConfig's defaults are the paper's Table 1 sizes
 
 
 @dataclass(frozen=True)
@@ -80,10 +70,10 @@ class SimConfig:
     alpha: float = 0.05
     oracle_lambda: bool = False
     redraw_truth: bool = False
-    cv_folds: int = 5
-    cv_grid_size: int = 20
-    cv_grid_lo: float = 1e-4
-    cv_grid_hi: float = 1e4
+    cv_folds: int = CV_FOLDS
+    cv_grid_size: int = CV_GRID_SIZE
+    cv_grid_lo: float = CV_GRID_LO
+    cv_grid_hi: float = CV_GRID_HI
 
     def __post_init__(self):
         if not 0.0 < self.subsample_ratio <= 1.0:
@@ -105,12 +95,6 @@ class SimConfig:
     @property
     def n_sub(self) -> int:
         return max(1, int(round(self.subsample_ratio * self.n_r)))
-
-    def cv_spec(self) -> CvSpec:
-        return CvSpec(
-            folds=self.cv_folds,
-            grid=tuple(log_grid(self.cv_grid_lo, self.cv_grid_hi, self.cv_grid_size)),
-        )
 
 
 @dataclass(frozen=True)
@@ -208,10 +192,8 @@ def mpe(theta, test: Dataset) -> float:
 
 def _oracle_lambdas(cfg: SimConfig) -> dict:
     """Theory-guided tuning weights, available because delta is known here."""
-    w = WeightProfile.from_counts(
-        cfg.n_r + cfg.n_f, cfg.n_r, cfg.n_f, cfg.n_sub
-    )
     n = cfg.n_r + cfg.n_f
+    w = PretrainedModel(np.zeros(cfg.p), n, cfg.n_r, cfg.n_f)  # its weights alone
     lam_max_f = float(np.linalg.eigvalsh(ar1_covariance(cfg.p, cfg.rho_f))[-1])
     rules = {
         "uls+": w.omega_r * w.omega_f * cfg.delta,
@@ -221,7 +203,7 @@ def _oracle_lambdas(cfg: SimConfig) -> dict:
     if cfg.n_f > 0:
         convexity_floor = 2.0 * lam_max_f  # population remaining covariance is I
         rules["graddiff"] = max(
-            np.sqrt(w.tilde_omega_r / w.omega_f)
+            np.sqrt((cfg.n_sub / cfg.n_r) / w.omega_f)
             + np.sqrt(cfg.n_sub / cfg.p) * cfg.delta,
             convexity_floor,
         )
@@ -271,11 +253,12 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     v = np.zeros(cfg.p)
     v[v_idx] = 1.0
     truth = float(theta_r[v_idx])
+    spec = cv_spec(cfg.cv_folds, cfg.cv_grid_lo, cfg.cv_grid_hi, cfg.cv_grid_size)
 
     def pick_lambda(name: str) -> float:
         if cfg.oracle_lambda:
             return oracle[name]
-        lam, _ = cv_select(name, pb, cfg.cv_spec(), cv_rng)
+        lam, _ = cv_select(name, pb, spec, cv_rng)
         return lam
 
     records = []
@@ -390,8 +373,3 @@ def write_records(records, path, include_timing: bool = False) -> None:
                 f"{fmt(r.sd_hat)},{millis}\n"
             )
 
-
-def write_summary(summary: SimSummary, path, include_timing: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_json_dict(include_timing), fh, indent=2, sort_keys=True)
-        fh.write("\n")

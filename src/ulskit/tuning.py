@@ -20,7 +20,7 @@ are infeasible on. :func:`plugin_lambda` is the closed-form rule for uls+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .estimators import SOLVERS, Problem, ols_theta
 from .numerics import RngStream
 
 CV_METHODS = tuple(name for name, solver in SOLVERS.items() if solver.tuned)
+
+# The default search of CvSpec, SimConfig and the CLI's CV flags
+CV_FOLDS, CV_GRID_LO, CV_GRID_HI, CV_GRID_SIZE = 5, 1e-4, 1e4, 20
 
 
 def plugin_lambda(pb: Problem) -> float:
@@ -45,7 +48,7 @@ def plugin_lambda(pb: Problem) -> float:
         return 0.0
     theta_sub = SOLVERS["ols"].fit(pb).theta  # reuses the subsample factor
     delta_hat = float(np.linalg.norm(theta_sub - ols_theta(pb.st_f)))
-    return pb.w.omega_r * pb.w.omega_f * delta_hat
+    return pb.model.omega_r * pb.model.omega_f * delta_hat
 
 
 def log_grid(lo: float, hi: float, k: int) -> list[float]:
@@ -57,16 +60,12 @@ def log_grid(lo: float, hi: float, k: int) -> list[float]:
     return [float(v) for v in np.geomspace(lo, hi, k)]
 
 
-def _default_grid() -> tuple[float, ...]:
-    return tuple(log_grid(1e-4, 1e4, 20))
-
-
 @dataclass(frozen=True)
 class CvSpec:
     """Fold count and lambda grid; scoring is held-out mean squared error."""
 
-    folds: int = 5
-    grid: tuple[float, ...] = field(default_factory=_default_grid)
+    folds: int = CV_FOLDS
+    grid: tuple[float, ...] = tuple(log_grid(CV_GRID_LO, CV_GRID_HI, CV_GRID_SIZE))
 
     def __post_init__(self):
         if self.folds < 2:
@@ -79,6 +78,11 @@ class CvSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
+
+
+def cv_spec(folds: int, lo: float, hi: float, size: int) -> CvSpec:
+    """``folds`` folds over the ``size`` log-uniform lambdas from lo to hi."""
+    return CvSpec(folds=folds, grid=tuple(log_grid(lo, hi, size)))
 
 
 def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:

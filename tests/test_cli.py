@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import ulskit
 from helpers import linear_instance
 from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv, save_model
 from ulskit.cli import main
+from ulskit.simulation import PRESETS, SimConfig
 
 Z_975 = 1.9599639845400545
 
@@ -274,6 +276,54 @@ def test_simulate_preset_flag(tmp_path):
     assert config["n_r"] == 20000 and config["n_f"] == 1000
     assert config["p"] == 50 and config["subsample_ratio"] == 0.2
     assert config["delta"] == 2.0 and config["reps"] == 1
+
+
+class _Configured(Exception):
+    """Raised in place of running the experiment, carrying its config."""
+
+
+def _simulate_config(monkeypatch, tmp_path, flags):
+    def stop(cfg, threads=None):
+        raise _Configured(cfg)
+
+    monkeypatch.setattr("ulskit.cli.run_experiment", stop)
+    with pytest.raises(_Configured) as caught:
+        main(["simulate", *flags, "--records", str(tmp_path / "r.csv"),
+              "--summary", str(tmp_path / "s.json")])
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("flags, field, value", [
+    (["--nr", "300"], "n_r", 300),
+    (["--nf", "7"], "n_f", 7),
+    (["--p", "3"], "p", 3),
+    (["--ratio", "0.5"], "subsample_ratio", 0.5),
+    (["--delta", "1.5"], "delta", 1.5),
+    (["--rho", "0.4"], "rho_f", 0.4),
+    (["--reps", "3"], "reps", 3),
+    (["--seed", "9"], "seed", 9),
+    (["--methods", "uls,tl"], "methods", ("uls", "tl")),
+    (["--methods", ""], "methods", SimConfig().methods),  # "" means the default
+    (["--v-coord", "2"], "v_direction", 2),
+    (["--alpha", "0.1"], "alpha", 0.1),
+    (["--oracle-lambda"], "oracle_lambda", True),
+    (["--redraw-truth"], "redraw_truth", True),
+    (["--folds", "3"], "cv_folds", 3),
+    (["--grid-size", "7"], "cv_grid_size", 7),
+    (["--grid-lo", "0.01"], "cv_grid_lo", 0.01),
+    (["--grid-hi", "100"], "cv_grid_hi", 100.0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_simulate_flag_sets_its_config_field(monkeypatch, tmp_path, flags, field, value):
+    cfg = _simulate_config(monkeypatch, tmp_path, flags)
+    assert cfg == replace(SimConfig(), **{field: value})
+    assert type(getattr(cfg, field)) is type(value)  # the summary prints the type
+
+
+def test_simulate_flags_override_the_preset(monkeypatch, tmp_path):
+    monkeypatch.setitem(PRESETS, "table1", {"n_r": 500, "p": 7, "cv_grid_size": 9})
+    cfg = _simulate_config(monkeypatch, tmp_path,
+                           ["--preset", "table1", "--nr", "2000", "--grid-size", "5"])
+    assert cfg == SimConfig(n_r=2000, p=7, cv_grid_size=5)
 
 
 @pytest.fixture
@@ -551,6 +601,40 @@ def test_infer_v_file_wrong_length_exit_code(p3_example, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "SchemaMismatch" in err and "v.txt" in err and "2 entries" in err
+
+
+def test_infer_v_file_table_reports_its_shape(bench_files, capsys):
+    # four entries for p = 4, but laid out as a 2 x 2 table
+    paths, tmp = bench_files
+    vfile = tmp / "v.txt"
+    vfile.write_text("1 2\n3 4\n")
+    code = main([
+        "infer", "--sub", str(paths["remaining"]), "--method", "ols",
+        "--v-file", str(vfile), "--out", str(tmp / "r.json"),
+    ])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("SchemaMismatch"), lines
+    assert "direction has shape (2, 2), expected 4 entries" in lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["infer", "--method", "uls", "--coord", "1"],
+    ["unlearn", "--method", "uls"],
+])
+def test_subsample_of_another_p_exit_code(p3_example, command, capsys):
+    # a p = 4 subsample against a p = 3 model is an input error for both commands
+    paths, tmp = p3_example
+    sub4 = tmp / "sub4.csv"
+    _write_csv(sub4, RngStream(3, 0).standard_normal((20, 4)), np.ones(20))
+    code = main([
+        *command, "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+        "--sub", str(sub4), "--out", str(tmp / "r.json"),
+    ])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("SchemaMismatch"), lines
+    assert "expected p=3, file has p=4" in lines[0]
 
 
 @pytest.mark.parametrize("ratio", ["1.5", "0", "-0.2"])

@@ -14,7 +14,6 @@ from ulskit import (
     RngStream,
     SchemaMismatch,
     SubsampleTooLarge,
-    WeightProfile,
     compute_stats,
     concat_datasets,
     load_csv,
@@ -344,7 +343,7 @@ def test_model_json_missing_key(tmp_path):
 
 def test_weight_profile_exact_complement():
     for n_f in (1, 7, 333):
-        w = WeightProfile.from_counts(1000, 1000 - n_f, n_f, 100)
+        w = PretrainedModel(np.zeros(1), 1000, 1000 - n_f, n_f)
         assert w.omega_f + w.omega_r == 1.0
 
 

@@ -84,7 +84,7 @@ def test_uls_worked_scalar_example():
 
 
 def _uls_objective(theta, model, forget, sub, lam=0.0):
-    w = model.weights()
+    w = model
     st_sub = compute_stats(sub)
     st_f = compute_stats(forget)
     sigma_mix = w.omega_r * st_sub.sigma + w.omega_f * st_f.sigma

@@ -137,7 +137,7 @@ def test_uls_plus_cv_prefers_retain_term_under_large_shift():
 def test_plugin_lambda_definition():
     model, _, forget, sub = linear_instance(8, n_r=600, n_f=80, n_sub=200)
     lam = plugin_lambda(prepare(model, forget, sub))
-    w = model.weights()
+    w = model
     delta_hat = np.linalg.norm(ols_fit(sub).theta - ols_fit(forget).theta)
     assert lam == pytest.approx(w.omega_r * w.omega_f * delta_hat, rel=1e-12)
     assert lam > 0.0
@@ -147,7 +147,7 @@ def test_plugin_lambda_tracks_true_discrepancy():
     model, _, forget, sub = linear_instance(
         9, n_r=4000, n_f=500, p=4, n_sub=1500, delta=5.0
     )
-    w = model.weights()
+    w = model
     lam = plugin_lambda(prepare(model, forget, sub))
     # delta_hat estimates the true shift of 5, so lam should sit near the
     # omega_r*omega_f*delta oracle value
@@ -168,7 +168,7 @@ def test_spec_validation():
 
 def _normal_equations(method, pb, lam):
     """The method's normal equations at lam, as (matrix, right-hand side)."""
-    sub, f, w, theta_p = pb.st_sub, pb.st_f, pb.w, pb.theta_p
+    sub, f, w, theta_p = pb.st_sub, pb.st_f, pb.model, pb.theta_p
     if method == "uls+":
         mix = w.omega_r * sub.sigma + w.omega_f * f.sigma
         return ((w.omega_r + lam) * sub.sigma,

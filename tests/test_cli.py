@@ -338,13 +338,15 @@ def bench_files(tmp_path):
     yf = xf @ theta_f + rng.standard_normal(80)
     xt = rng.standard_normal((200, p))
     yt = xt @ theta_r + rng.standard_normal(200)
+    tmp = tmp_path / "bench"  # apart from p3_example's files
+    tmp.mkdir()
     paths = {}
     for name, (x, y) in {
         "remaining": (xr, yr), "forget": (xf, yf), "test": (xt, yt),
     }.items():
-        paths[name] = tmp_path / f"{name}.csv"
+        paths[name] = tmp / f"{name}.csv"
         _write_csv(paths[name], x, y)
-    return paths, tmp_path
+    return paths, tmp
 
 
 def test_bench_orders_retrain_before_pretrain(bench_files):
@@ -440,14 +442,16 @@ def p3_example(tmp_path):
     y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(120)
     xf = rng.standard_normal((15, 3))
     yf = xf @ np.array([2.0, -1.0, 1.5]) + rng.standard_normal(15)
-    paths = {name: tmp_path / f"{name}.csv" for name in ("full", "forget", "sub")}
+    tmp = tmp_path / "p3"  # apart from bench_files' files
+    tmp.mkdir()
+    paths = {name: tmp / f"{name}.csv" for name in ("full", "forget", "sub")}
     _write_csv(paths["full"], np.vstack([x, xf]), np.concatenate([y, yf]))
     _write_csv(paths["forget"], xf, yf)
     _write_csv(paths["sub"], x[:60], y[:60])
-    paths["model"] = tmp_path / "model.json"
+    paths["model"] = tmp / "model.json"
     assert main(["pretrain", str(paths["full"]), "--n-forget", "15",
                  "--out", str(paths["model"])]) == 0
-    return paths, tmp_path
+    return paths, tmp
 
 
 def test_unlearn_empty_forget_uls_plus_cv_scores_the_output(p3_example):
@@ -652,6 +656,20 @@ def test_bench_ratio_out_of_range_exit_code(bench_files, ratio, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods, code", [("ols", 0), ("ols,uls+", 2)])
+def test_bench_checks_the_grid_only_for_tuned_methods(bench_files, methods, code, capsys):
+    paths, tmp = bench_files
+    out = tmp / "mpe.csv"
+    assert main([
+        "bench", "--remaining", str(paths["remaining"]),
+        "--forget", str(paths["forget"]), "--test", str(paths["test"]),
+        "--methods", methods, "--grid-lo", "5", "--grid-hi", "1", "--out", str(out),
+    ]) == code
+    err = capsys.readouterr().err
+    assert out.exists() == (code == 0)
+    assert ("ValueError" in err) == (code == 2)
+
+
 def test_cli_start_up_leaves_out_scipy_stats():
     # scipy.stats alone roughly doubles the start-up time of every command
     src = str(Path(ulskit.__file__).resolve().parents[1])
@@ -661,6 +679,18 @@ def test_cli_start_up_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_start_up_loads_no_scipy():
+    # the runtime needs numpy alone; scipy is a test-only reference
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, ulskit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_header_only_pretrain_exit_code(tmp_path, capsys):

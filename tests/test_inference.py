@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from helpers import linear_instance
 from ulskit import (
@@ -28,6 +31,20 @@ def test_normal_quantile_value():
 def test_normal_quantile_bits():
     # the bits of scipy.stats.norm.ppf(0.975), which start-up no longer imports
     assert normal_quantile(0.975) == float.fromhex("0x1.f5c0331eeff84p+0")
+
+
+def test_normal_quantile_matches_ndtri_bit_for_bit():
+    rng = RngStream(7, 0)
+    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)]
+    qs = np.concatenate([
+        rng.uniform(3000),
+        10.0 ** (-300.0 * rng.uniform(3000)),  # the far lower tail
+        1.0 - 10.0 ** (-16.0 * rng.uniform(3000)),  # the upper tail
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        [0.0, 1.0, 5e-324, 0.5],
+    ])
+    got = np.array([normal_quantile.__wrapped__(float(q)) for q in qs])
+    assert got.tobytes() == ndtri(qs).tobytes()
 
 
 def test_noise_terms_b_vanishes_when_thetas_agree():

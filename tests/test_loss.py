@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from ulskit import (
     Dataset,
@@ -12,6 +13,7 @@ from ulskit import (
     loss_value,
     ols_fit,
 )
+from ulskit.loss import sigmoid
 
 
 def test_squared_value_single_row():
@@ -111,3 +113,12 @@ def test_logistic_rejects_bad_labels():
         loss_value(LOGISTIC, np.zeros(1), d)
     with pytest.raises(ValueError):
         loss_grad(LOGISTIC, np.zeros(1), d)
+
+
+def test_sigmoid_tails_against_expit():
+    # the suite turns RuntimeWarning into an error, so exp(800)'s overflow
+    # must stay silent; the error is at most an ulp of 1 (2.2e-16)
+    u = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-709.79, 709.79]])
+    assert np.max(np.abs(sigmoid(u) - expit(u))) <= 2.3e-16
+    d = Dataset(np.array([[800.0], [-800.0]]), np.array([1.0, 0.0]))
+    assert loss_grad(LOGISTIC, np.ones(1), d).tolist() == [0.0]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,7 @@ from ulskit import (
     sample_gaussian,
     spd_solve,
 )
-from ulskit.numerics import bartlett_factor, max_eigenvalue
+from ulskit.numerics import _lower_solve, bartlett_factor, max_eigenvalue
 
 
 def test_cholesky_identity():
@@ -80,6 +82,60 @@ def test_solve_roundtrip_random_spd(seed):
     x = rng.standard_normal(6)
     out = spd_solve(cholesky(a), a @ x)
     assert np.linalg.norm(out - x) <= 1e-8 * np.linalg.norm(x)
+
+
+def _collinear_scaled_gram(seed: int, p: int = 12) -> np.ndarray:
+    """Gram of a design whose columns all lie near the first, in blocks of
+    scale 1e-3, 1 and 1e3: its factor's below-diagonal entries dwarf the
+    diagonal, so LU with partial pivoting on the factor swaps rows."""
+    z = RngStream(seed, 0).standard_normal((200, p))
+    z[:, 1:] = z[:, :1] + 1e-2 * z[:, 1:]
+    x = z * np.repeat([1e-3, 1.0, 1e3], p // 3)
+    return x.T @ x / 200
+
+
+def _componentwise_residual(factors, x, b) -> float:
+    """max_i |b - F1 F2 .. x|_i / (|F1| |F2| .. |x|)_i in exact rational
+    arithmetic, over every column of x; a row whose b and denominator are
+    both exactly 0 has residual 0."""
+    worst = 0.0
+    for col in range(x.shape[1]):
+        prod = [Fraction(v) for v in x[:, col]]
+        size = [abs(v) for v in prod]
+        for f in reversed(factors):
+            rows = [[Fraction(v) for v in row] for row in f]
+            prod = [sum(r * v for r, v in zip(row, prod)) for row in rows]
+            size = [sum(abs(r) * v for r, v in zip(row, size)) for row in rows]
+        for bi, ax, den in zip(b[:, col], prod, size):
+            res = abs(Fraction(bi) - ax)
+            if res:
+                worst = max(worst, float(res / den) if den else float("inf"))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_forward_substitution_componentwise_residual(seed):
+    # Substitution is componentwise backward stable: |b - L y| <= p u |L| |y|
+    # to first order (u = eps / 2), so p eps leaves a factor of two. LU on L
+    # itself (np.linalg.solve(L, b)) pivots here and fills in the zeros of
+    # L^-1 above the diagonal: residual 1 for b = I.
+    gram = _collinear_scaled_gram(seed)
+    lower = cholesky(gram).lower
+    p = gram.shape[0]
+    for b in (np.eye(p), gram):
+        y = _lower_solve(lower, b)
+        assert _componentwise_residual([lower], y, b) <= p * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_spd_solve_componentwise_residual(seed):
+    # two substitutions: |b - L L' x| <= 2 p u |L| |L'| |x| to first order
+    gram = _collinear_scaled_gram(seed)
+    f = cholesky(gram)
+    b = gram @ RngStream(seed, 1).standard_normal((gram.shape[0], 3))
+    x = spd_solve(f, b)
+    bound = 2 * gram.shape[0] * np.finfo(float).eps
+    assert _componentwise_residual([f.lower, f.lower.T], x, b) <= bound
 
 
 def test_ar1_scalar():

@@ -206,7 +206,7 @@ def split_train_test(d: Dataset, test_fraction: float, rng: RngStream):
 # "loss": "squared"|"logistic"}. Results and summaries: indented JSON with
 # sorted keys (save_json).
 
-_HEADER_RE = re.compile(r"^x([1-9][0-9]*)$")
+_HEADER_RE = re.compile(r"x([1-9][0-9]*)")
 
 
 def _check_header(fields, path) -> int:
@@ -216,7 +216,7 @@ def _check_header(fields, path) -> int:
     if p < 1:
         raise SchemaMismatch(f"{path}: header needs at least one covariate column")
     for j, name in enumerate(fields[1:], start=1):
-        match = _HEADER_RE.match(name)
+        match = _HEADER_RE.fullmatch(name)  # "$" would admit a trailing "\n"
         if not match or int(match.group(1)) != j:
             raise SchemaMismatch(
                 f"{path}: column {j + 1} named {name!r}, expected 'x{j}'"

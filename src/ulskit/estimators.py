@@ -33,11 +33,11 @@ one factorization or eigendecomposition:
             where sigma_f V = sigma_sub V diag(mu) and V' sigma_sub V = I
 
 The ridge and GradDiff paths hold lam only in bounded ratios, so no finite
-lam overflows them. GradDiff's objective is bounded below iff lam > mu_max;
-its path alone decides, by lam - mu_max > PIVOT_FLOOR * lam. The uls+ and
-GradDiff fits are their path's column at one lam, where a NaN column is an
-:class:`IndefiniteObjective`. The ridge fit keeps its Cholesky solve, whose
-error, unlike the eigendecomposition's, is invariant to column scales.
+lam overflows them, and refine their columns with their own decomposition
+(:func:`_refined`). GradDiff's objective is bounded below iff lam > mu_max;
+its path alone decides, by lam - mu_max > PIVOT_FLOOR * lam. Every tuned fit
+is its path's column at one lam, where a NaN column is an
+:class:`IndefiniteObjective`.
 """
 
 from __future__ import annotations
@@ -279,6 +279,37 @@ def _uls_plus_grad(pb: Problem, theta, lam):
     return _uls_objective_grad(theta, pb) + lam * _retain_grad(pb, theta)
 
 
+# Iterative refinement takes at most LAPACK's five steps (dporfs' ITMAX). A
+# column's correction below 1e-10 of each entry is its last: the next would be
+# that times the contraction, and rounding alone makes the first correction of
+# a well-scaled problem up to 1e-11 of its smallest entries.
+_REFINE_STEPS, _REFINED = 5, 1e-10
+
+
+def _refined(theta: np.ndarray, correction) -> np.ndarray:
+    """A path's columns after iterative refinement.
+
+    ``correction(theta)`` solves the residual of the normal equations at
+    theta with the path's own decomposition, whose error is relative to the
+    largest eigenvalue d_max. A step multiplies a column's error by about
+    1e-16 d_max over the smallest shifted eigenvalue (d_min + lam for the
+    ridge), so on columns of very different scales it takes several to match
+    a Cholesky solve, and none can where that factor nears 1. A column takes
+    its corrections while they shrink.
+    """
+    last = np.full(theta.shape[1], np.inf)
+    for _ in range(_REFINE_STEPS):
+        delta = correction(theta)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0: an exact 0
+            size = np.nanmax(np.abs(delta) / np.abs(theta), axis=0, initial=0.0)
+        step = size < last
+        theta = theta + np.where(step, delta, 0.0)
+        last = np.where(step & (size > _REFINED), size, 0.0)  # 0: the column is done
+        if not last.any():
+            break
+    return theta
+
+
 def graddiff_threshold(pb: Problem) -> float:
     """mu_max: the GradDiff objective is bounded below iff lam > mu_max; inf
     when the subsample Gram is singular, as then no lam is feasible."""
@@ -288,13 +319,20 @@ def graddiff_threshold(pb: Problem) -> float:
 def _graddiff_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "graddiff")
     mu, v = pb.pencil
+    st_sub, st_f = pb.st_sub, pb.st_f
+    m_sub, m_f = st_sub.m[:, None], st_f.m[:, None]
     # lam sigma_sub - sigma_f = L (lam I - C) L': floor lam I - C's eigenvalues
     ok = lams - mu[-1] > PIVOT_FLOOR * lams
-    gap = lams[ok] - mu[:, None]
-    v_sub, v_f = (v.T @ np.column_stack([pb.st_sub.m, pb.st_f.m])).T
-    coef = (lams[ok] / gap) * v_sub[:, None] - v_f[:, None] / gap
+    lam = lams[ok]
+    gap = lam - mu[:, None]
+
+    def solve(b_sub, b_f):  # (lam sigma_sub - sigma_f) theta = lam b_sub - b_f
+        return v @ ((lam / gap) * (v.T @ b_sub) - (v.T @ b_f) / gap)
+
+    theta = _refined(solve(m_sub, m_f), lambda theta: solve(
+        m_sub - st_sub.sigma @ theta, m_f - st_f.sigma @ theta))
     thetas = np.full((len(mu), len(lams)), np.nan)
-    thetas[:, ok] = finite_solution(v @ coef)
+    thetas[:, ok] = finite_solution(theta)
     return thetas
 
 
@@ -303,23 +341,23 @@ def _graddiff_grad(pb: Problem, theta, lam) -> np.ndarray:
     return 2.0 * (st_f.m - st_f.sigma @ theta) + lam * _retain_grad(pb, theta)
 
 
-def _transfer_ridge(pb: Problem, lam) -> EstimateResult:
-    if lam <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    st_sub, theta_p = pb.st_sub, pb.theta_p
-    s = max(1.0, lam)  # the system over s: nothing overflows; lam <= 1 keeps its bits
-    a = st_sub.sigma / s + (lam / s) * np.eye(st_sub.sigma.shape[0])
-    theta = spd_solve(cholesky(a), st_sub.m / s + (lam / s) * theta_p)
-    grad = _retain_grad(pb, theta) + lam * (2.0 * (theta - theta_p))
-    return _result("tl", theta, grad, lam)
-
-
 def _transfer_ridge_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
-    d, q = np.linalg.eigh(pb.st_sub.sigma)
+    if np.any(lams <= 0.0):
+        raise ValueError(f"lam must be > 0, got {lams.min():g}")
+    sigma, m_sub, theta_p = pb.st_sub.sigma, pb.st_sub.m[:, None], pb.theta_p[:, None]
+    d, q = np.linalg.eigh(sigma)
     shift = d[:, None] + lams
-    q_m, q_theta_p = (q.T @ np.column_stack([pb.st_sub.m, pb.theta_p])).T
-    coef = q_m[:, None] / shift + (lams / shift) * q_theta_p[:, None]
-    return finite_solution(q @ coef)
+
+    def solve(b_m, b_t):  # (sigma_sub + lam I) theta = b_m + lam b_t
+        return q @ ((q.T @ b_m) / shift + (lams / shift) * (q.T @ b_t))
+
+    theta = _refined(solve(m_sub, theta_p), lambda theta: solve(
+        m_sub - sigma @ theta, theta_p - theta))
+    return finite_solution(theta)
+
+
+def _transfer_ridge_grad(pb: Problem, theta, lam) -> np.ndarray:
+    return _retain_grad(pb, theta) + lam * (2.0 * (theta - pb.theta_p))
 
 
 def _gd(pb: Problem, lam=None) -> EstimateResult:
@@ -367,7 +405,7 @@ SOLVERS = {
     "uls": Solver(_uls),
     "uls+": _path_solver("uls+", _uls_plus_path, _uls_plus_grad),
     "graddiff": _path_solver("graddiff", _graddiff_path, _graddiff_grad),
-    "tl": Solver(_transfer_ridge, _transfer_ridge_path),
+    "tl": _path_solver("tl", _transfer_ridge_path, _transfer_ridge_grad),
     "gd": Solver(_gd),
 }
 
@@ -469,9 +507,9 @@ def gd_unlearn(
                                    - grad(theta_p; forget) ]
 
     and stops when the bracketed residual norm drops to grad_tol * (1 +
-    ||theta_p||) or after t_max steps. For the squared loss the fixed point
-    is exactly the closed-form :func:`uls` output. ``callback(t, theta)``
-    observes each iterate.
+    ||theta_p||), raising :class:`NotConverged` if it has not after t_max
+    steps. For the squared loss the fixed point is exactly the closed-form
+    :func:`uls` output. ``callback(t, theta)`` observes each iterate.
     """
     if f.loss_id != model.loss_id:
         raise ValueError(
@@ -485,13 +523,11 @@ def gd_unlearn(
     alpha = cfg.alpha if cfg.alpha is not None else default_step_size(f, model, sub)
 
     theta = theta_p.copy()
-    iterations = cfg.t_max
-    residual = np.inf
+    tol = cfg.grad_tol * scale
     for t in range(cfg.t_max + 1):
         g = ratio * loss_grad(f, theta, sub) - anchor
         residual = float(np.linalg.norm(g))
-        if residual <= cfg.grad_tol * scale or t == cfg.t_max:
-            iterations = t
+        if residual <= tol or t == cfg.t_max:
             break
         theta = theta - alpha * g
         if np.linalg.norm(theta) > _DIVERGE_FACTOR * scale:
@@ -501,9 +537,12 @@ def gd_unlearn(
             )
         if callback is not None:
             callback(t + 1, theta)
-    return EstimateResult(
-        theta=theta, method="gd", iterations=iterations, grad_residual=residual
-    )
+    if not residual <= tol:
+        raise NotConverged(
+            f"gradient residual {residual:.3e} still above grad_tol * (1 +"
+            f" ||theta_p||) = {tol:.3e} after {t} iterations"
+        )
+    return EstimateResult(theta=theta, method="gd", iterations=t, grad_residual=residual)
 
 
 def pretrain(

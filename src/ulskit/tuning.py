@@ -5,13 +5,15 @@ its Gram matrices once, in :func:`~ulskit.estimators.prepare`.
 :func:`cv_select` splits the problem's subsample rows into shuffled
 round-robin folds. On each training fold the solver's path gives the
 coefficients of every candidate lambda from one factorization (uls+) or one
-eigendecomposition (ridge, GradDiff), and one vectorized expression scores
-them all by squared prediction error on the held-out fold. Ties break toward
-the larger (more conservative) lambda.
+eigendecomposition (ridge, GradDiff; refined by its own residual), and one
+vectorized expression scores them all by squared prediction error on the
+held-out fold. Every tuned fit is a column of the same path, so the search
+scores exactly what the fit returns. Ties break toward the larger (more
+conservative) lambda.
 
 GradDiff's objective is bounded below only for lambda above a convexity
 threshold, which differs from fold to fold; its path marks an infeasible
-lambda with a NaN column, and its fit is a column of that path. Infeasible
+lambda with a NaN column. Infeasible
 candidates score inf rather than failing the search: on every fold if the
 fit on the full subsample would reject them, else from the first fold they
 are infeasible on. :func:`plugin_lambda` is the closed-form rule for uls+.

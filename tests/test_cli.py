@@ -114,6 +114,32 @@ def test_unlearn_indefinite_graddiff(tmp_path, capsys):
     assert "IndefiniteObjective" in capsys.readouterr().err
 
 
+def test_unlearn_gd_at_its_iteration_cap_exit_code(tmp_path, capsys):
+    # column blocks scaled 1e3 / 1 / 1e-3: the spectral step leaves the small
+    # block's residual far above grad_tol after the default 10000 steps
+    rng = RngStream(3, 0)
+    scale = np.repeat([1e3, 1.0, 1e-3], 4)
+    x = rng.standard_normal((3000, 12)) * scale
+    y = x @ (rng.standard_normal(12) / scale) + rng.standard_normal(3000)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("full", "forget", "sub")}
+    _write_csv(paths["full"], x, y)
+    _write_csv(paths["forget"], x[-300:], y[-300:])
+    _write_csv(paths["sub"], x[:600], y[:600])
+    model = tmp_path / "model.json"
+    assert main(["pretrain", str(paths["full"]), "--n-forget", "300",
+                 "--out", str(model)]) == 0
+    out = tmp_path / "r.json"
+    code = main([
+        "unlearn", "--model", str(model), "--forget", str(paths["forget"]),
+        "--sub", str(paths["sub"]), "--method", "gd", "--out", str(out),
+    ])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("NotConverged"), lines
+    assert "after 10000 iterations" in lines[0]
+    assert not out.exists()
+
+
 def test_unlearn_plugin_lambda_rule(tmp_path):
     from ulskit import (
         concat_datasets, load_csv, plugin_lambda, prepare, pretrain,
@@ -893,3 +919,53 @@ def test_cv_grid_up_to_the_largest_float(tmp_path, seed, method, capsys):
         "--method", method, "--grid-hi", "1e308", "--out", str(tmp_path / "r.json"),
     ])
     assert (code, capsys.readouterr().err) == (0, "")
+
+
+_MALFORMED_CSVS = {
+    "bad-header": "y,x1,x2,z\n1,2,3,4\n",
+    "ragged-row": "y,x1,x2,x3\n1,2,3,4\n1,2,3\n",
+    "non-numeric-cell": "y,x1,x2,x3\n1,2,abc,4\n",
+    "nan": "y,x1,x2,x3\n1,2,nan,4\n",
+    "empty-file": "",
+    "header-only": "y,x1,x2,x3\n",
+    # a quoted "3\n" is a valid cell read as 3 (test_data_model), so the
+    # line break here splits a number
+    "quoted-line-break": 'y,x1,x2,x3\n1,2,"3\n5",4\n',
+    "quoted-line-break-in-the-header": 'y,x1,x2,"x3\n"\n1,2,3,4\n',
+    "file-separator": "y,x1,x2,x3\n1,2,3\x1c,4\n",
+}
+
+# (command, the flag that names the CSV, the files of the other roles)
+_CSV_ROLES = {
+    "pretrain-full": ["pretrain", None],
+    "unlearn-forget": ["unlearn", "--forget", "--model", "--sub"],
+    "unlearn-sub": ["unlearn", "--sub", "--model", "--forget"],
+    "infer-sub": ["infer", "--sub", "--model", "--forget"],
+    "bench-remaining": ["bench", "--remaining", "--forget", "--test"],
+    "bench-forget": ["bench", "--forget", "--remaining", "--test"],
+    "bench-test": ["bench", "--test", "--remaining", "--forget"],
+}
+
+
+@pytest.mark.parametrize("role, case", [
+    (role, case) for role in _CSV_ROLES for case in _MALFORMED_CSVS
+    if not (case == "header-only" and role.endswith("forget"))  # no rows is valid
+])
+def test_malformed_csv_exit_code(p3_example, role, case, capsys):
+    # every CSV a command reads rejects every malformation with one named error
+    paths, tmp = p3_example
+    bad = tmp / "bad.csv"
+    bad.write_text(_MALFORMED_CSVS[case], encoding="utf-8", newline="")
+    files = {"--model": paths["model"], "--forget": paths["forget"],
+             "--sub": paths["sub"], "--remaining": paths["sub"], "--test": paths["sub"]}
+    command, flag, *others = _CSV_ROLES[role]
+    argv = [command, *(["--coord", "1"] if command == "infer" else [])]
+    argv += [str(bad)] if flag is None else [flag, str(bad)]
+    for other in others:
+        argv += [other, str(files[other])]
+    out = tmp / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(("ParseError: ", "SchemaMismatch: ")), lines
+    assert not out.exists()

@@ -6,7 +6,9 @@ enough that a pivot floor relative to trace(A) would reject the Gram. An
 empty forget set is the identity. GradDiff's path is feasible exactly above
 the threshold, up to the pivot floor. Pooling and then removing statistics
 gives them back up to rounding; the order of the rows does not matter; and
-the interval variance is nonnegative and homogeneous of degree 2 in v."""
+the interval variance is nonnegative and homogeneous of degree 2 in v. With
+the whole remaining set as the subsample, uls is the retrained least squares
+fit; and gradient descent stops within its residual's reach of uls."""
 
 from dataclasses import replace
 
@@ -16,7 +18,16 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh
 
 from helpers import linear_instance
-from ulskit import Dataset, RngStream, SufficientStats, prepare, uls
+from ulskit import (
+    SQUARED,
+    Dataset,
+    RngStream,
+    SufficientStats,
+    gd_unlearn,
+    ols_fit,
+    prepare,
+    uls,
+)
 from ulskit.estimators import SOLVERS, graddiff_threshold
 from ulskit.inference import uls_interval
 
@@ -130,3 +141,28 @@ def test_interval_variance_is_nonnegative_and_quadratic_in_v(seed, p, log_c, neg
     scaled = uls_interval(pb, theta, c * v, 0.05).variance
     assert variance >= 0.0
     assert_allclose(scaled, c**2 * variance, rtol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(0, 60),
+       st.integers(0, 200))
+def test_uls_with_the_remaining_set_is_exact_unlearning(seed, p, n_f, extra):
+    model, remaining, forget, sub = linear_instance(
+        seed, n_r=2 * p + extra, n_f=n_f, p=p, sub_is_remaining=True)
+    theta = uls(model, forget, sub).theta
+    retrained = ols_fit(remaining).theta
+    assert np.linalg.norm(theta - retrained) <= 1e-10 * np.linalg.norm(retrained)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(0, 60))
+def test_gd_fixed_point_is_uls(seed, p, n_f):
+    # GD's residual is 2 Nr sigma_sub (theta - uls): its stopping residual
+    # bounds the distance to uls by residual / (2 Nr lambda_min(sigma_sub))
+    model, _, forget, sub = linear_instance(seed, n_f=n_f, p=p, n_sub=3 * p + 10)
+    fit = gd_unlearn(SQUARED, model, forget, sub)
+    target = uls(model, forget, sub).theta
+    pb = prepare(model, forget, sub)
+    curvature = 2.0 * model.n_remaining * np.linalg.eigvalsh(pb.st_sub.sigma)[0]
+    reach = 1.01 * fit.grad_residual / curvature
+    assert np.linalg.norm(fit.theta - target) <= reach + 1e-12 * np.linalg.norm(target)

@@ -108,8 +108,8 @@ def test_tuned_replication_forms_the_grams_once(calls):
     assert tally["compute_stats"] == 2
     # the AR(rho) design factor, theta_p, the subsample factor (which also
     # gives graddiff's pencil, read by its CV and its fit), one per uls+ and
-    # one per graddiff CV fold, and the tl fit; the tl CV path factors nothing
-    assert tally["cholesky"] == 14
+    # one per graddiff CV fold; the tl path and fit factor nothing
+    assert tally["cholesky"] == 13
 
 
 def test_graddiff_threshold_reuses_the_sub_factor(calls):

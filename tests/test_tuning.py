@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from helpers import linear_instance
 from ulskit import (
+    SQUARED,
     CvSpec,
     Dataset,
     InsufficientData,
@@ -18,6 +20,7 @@ from ulskit import (
     ols_fit,
     plugin_lambda,
     prepare,
+    pretrain,
     transfer_ridge,
     uls_plus,
 )
@@ -313,3 +316,71 @@ def test_graddiff_cv_table_inf_pattern():
         assert row == expected, lam
         patterns.add(tuple(row))
     assert len(patterns) >= 3
+
+
+def _exact_normal_equations(method, pb, lam):
+    """_normal_equations in exact arithmetic on the float statistics."""
+    def exact(a):
+        return [[Fraction(v) for v in row] for row in a] if a.ndim == 2 else [
+            Fraction(v) for v in a]
+
+    sub, f, tp = exact(pb.st_sub.sigma), exact(pb.st_f.sigma), exact(pb.theta_p)
+    m_sub, m_f = exact(pb.st_sub.m), exact(pb.st_f.m)
+    om_f, om_r, lam = (Fraction(float(v)) for v in (pb.model.omega_f, pb.model.omega_r, lam))
+    p = len(tp)
+    rows = range(p)
+    if method == "uls+":
+        mix = [[om_r * sub[i][j] + om_f * f[i][j] for j in rows] for i in rows]
+        return ([[(om_r + lam) * v for v in row] for row in sub],
+                [sum(mix[i][j] * tp[j] for j in rows) + lam * m_sub[i] - om_f * m_f[i]
+                 for i in rows])
+    if method == "graddiff":
+        return ([[lam * sub[i][j] - f[i][j] for j in rows] for i in rows],
+                [lam * m_sub[i] - m_f[i] for i in rows])
+    return ([[sub[i][j] + (lam if i == j else 0) for j in rows] for i in rows],
+            [m_sub[i] + lam * tp[i] for i in rows])
+
+
+def _exact_solve(a, b):
+    """Gaussian elimination on Fractions: the exact solution of a x = b."""
+    aug = [row + [bi] for row, bi in zip(a, b)]
+    n = len(b)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        for r in range(c + 1, n):
+            ratio = aug[r][c] / aug[c][c]
+            aug[r] = [u - ratio * v for u, v in zip(aug[r], aug[c])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (aug[i][n] - sum(aug[i][k] * x[k] for k in range(i + 1, n))) / aug[i][i]
+    return x
+
+
+@pytest.mark.parametrize("scales", [(1e4, 1.0, 1e-4), (1e-4, 1.0, 1e4)])
+@pytest.mark.parametrize("seed", range(2))
+def test_path_columns_match_an_exact_solve_on_block_scaled_columns(scales, seed):
+    # column blocks scaled by 1e4, 1 and 1e-4: an eigendecomposition's error is
+    # relative to the largest eigenvalue, 1e16 times the smallest, so a path
+    # column is exact to rounding only once that error is refined away; in
+    # the ascending order one step of refinement is not enough
+    p, n, n_f = 6, 800, 80
+    scale = np.repeat(scales, p // 3)
+    rng = RngStream(seed, 0)
+    x = rng.standard_normal((n, p)) * scale
+    y = x @ (rng.standard_normal(p) / scale) + rng.standard_normal(n)
+    model = pretrain(SQUARED, Dataset(x, y), n_forget=n_f)
+    forget = Dataset(x[-n_f:], y[-n_f:], "forget")
+    pb = prepare(model, forget, Dataset(x[:300], y[:300], "subsample"))
+    grid = log_grid(1e-3, 1e3, 7)
+    for method in CV_METHODS:
+        thetas = SOLVERS[method].path(pb, np.array(grid))
+        solved = 0
+        for k, lam in enumerate(grid):
+            if np.isnan(thetas[:, k]).any():  # below graddiff's threshold
+                continue
+            solved += 1
+            exact = _exact_solve(*_exact_normal_equations(method, pb, lam))
+            err = max(abs((Fraction(t) - e) / e) for t, e in zip(thetas[:, k], exact))
+            assert err <= 1e-12, (method, lam, float(err))
+        assert solved >= 3, method

@@ -11,6 +11,7 @@ error names go to stderr. The ULS_THREADS environment variable overrides
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -204,19 +205,25 @@ def _cmd_bench(args) -> int:
             return cv_select(method, pb, spec, cv_rng)[0]
 
         start = time.perf_counter()
-        theta = method_theta(name, pb, st_r, pick_lambda)
+        try:
+            value, error = mpe(method_theta(name, pb, st_r, pick_lambda), test), None
+        except UlsError as exc:  # a failed method, as in simulate: the rest stand
+            value, error = math.nan, exc
         millis = (time.perf_counter() - start) * 1e3
-        return name, mpe(theta, test), millis
+        return name, value, millis, error
 
     rows = _pool_map(run_one, enumerate(methods), threads)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,mpe,millis\n")
-        for name, value, millis in rows:
+        for name, value, millis, _ in rows:
             cell = format(millis, ".17g") if args.timing else ""
             fh.write(f"{name},{value:.17g},{cell}\n")
+    failed = [(name, error) for name, _, _, error in rows if error is not None]
+    for name, error in failed:
+        print(f"{type(error).__name__}: {name}: {error}", file=sys.stderr)
     print(f"wrote {args.out} ({len(rows)} methods)")
-    return EXIT_OK
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

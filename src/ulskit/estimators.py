@@ -33,11 +33,13 @@ one factorization or eigendecomposition:
             where sigma_f V = sigma_sub V diag(mu) and V' sigma_sub V = I
 
 The ridge and GradDiff paths hold lam only in bounded ratios, so no finite
-lam overflows them, and refine their columns with their own decomposition
-(:func:`_refined`). GradDiff's objective is bounded below iff lam > mu_max;
-its path alone decides, by lam - mu_max > PIVOT_FLOOR * lam. Every tuned fit
-is its path's column at one lam, where a NaN column is an
-:class:`IndefiniteObjective`.
+lam overflows them. They refine each column with their own decomposition
+while that lowers its backward error, and solve by Cholesky a column that
+refinement cannot bring to rounding, or (ridge) whose shifted spectrum is
+too wide to tell a singular system (:func:`_refined`). GradDiff's objective
+is bounded below iff lam > mu_max; :func:`graddiff_feasible` decides, by
+lam - mu_max > PIVOT_FLOOR * lam. Every tuned fit is its path's column at one
+lam, where a NaN column is an :class:`IndefiniteObjective`.
 """
 
 from __future__ import annotations
@@ -279,34 +281,51 @@ def _uls_plus_grad(pb: Problem, theta, lam):
     return _uls_objective_grad(theta, pb) + lam * _retain_grad(pb, theta)
 
 
-# Iterative refinement takes at most LAPACK's five steps (dporfs' ITMAX). A
-# column's correction below 1e-10 of each entry is its last: the next would be
-# that times the contraction, and rounding alone makes the first correction of
-# a well-scaled problem up to 1e-11 of its smallest entries.
-_REFINE_STEPS, _REFINED = 5, 1e-10
+# Iterative refinement as LAPACK's dporfs runs it: at most its five (ITMAX)
+# corrections per column, each taken only if it lowers the column's
+# componentwise backward error max_i |b - A theta|_i / (|A| |theta| + |b|)_i,
+# and none once that error stops halving or is down to _ROUNDING (a correctly
+# rounded solution's is up to about 2 eps at p = 50). A column whose error
+# stays above _REFINED is solved by Cholesky instead, as LAPACK's dsposv
+# falls back to a double factorization when its refinement fails.
+_REFINE_STEPS, _ROUNDING, _REFINED = 5, 4.0 * np.finfo(np.float64).eps, 1e-14
+_TINY = np.finfo(np.float64).tiny  # in the denominator: a row of zero terms has error 0
 
 
-def _refined(theta: np.ndarray, correction) -> np.ndarray:
-    """A path's columns after iterative refinement.
+def _refined(theta: np.ndarray, residual, solve, system, direct=False) -> np.ndarray:
+    """A path's columns, refined to rounding or solved directly.
 
-    ``correction(theta)`` solves the residual of the normal equations at
-    theta with the path's own decomposition, whose error is relative to the
-    largest eigenvalue d_max. A step multiplies a column's error by about
+    ``residual(theta)`` gives the normal equations' residual at theta, as the
+    arguments of ``solve``, and each column's backward error; ``solve``
+    corrects with the path's own decomposition, whose error is relative to
+    the largest eigenvalue d_max. A step multiplies a column's error by about
     1e-16 d_max over the smallest shifted eigenvalue (d_min + lam for the
-    ridge), so on columns of very different scales it takes several to match
-    a Cholesky solve, and none can where that factor nears 1. A column takes
-    its corrections while they shrink.
+    ridge), so on columns of very different scales it may take several, and
+    none converge where that factor nears 1. There column k is solved from
+    ``system(k)``, its matrix and right-hand side, by Cholesky, as is every
+    column of the mask ``direct``; a matrix that fails the pivot check gives
+    a NaN column, as its objective is not numerically strictly convex.
     """
+    r, berr = residual(theta)
     last = np.full(theta.shape[1], np.inf)
     for _ in range(_REFINE_STEPS):
-        delta = correction(theta)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0: an exact 0
-            size = np.nanmax(np.abs(delta) / np.abs(theta), axis=0, initial=0.0)
-        step = size < last
-        theta = theta + np.where(step, delta, 0.0)
-        last = np.where(step & (size > _REFINED), size, 0.0)  # 0: the column is done
-        if not last.any():
+        open_ = (berr > _ROUNDING) & (2.0 * berr <= last)
+        if not open_.any():
             break
+        trial = theta + solve(*r)
+        r_trial, berr_trial = residual(trial)
+        take = open_ & (berr_trial < berr)
+        last = np.where(take, berr, 0.0)
+        theta = np.where(take, trial, theta)
+        r = tuple(np.where(take, new, old) for new, old in zip(r_trial, r))
+        berr = np.where(take, berr_trial, berr)
+    theta = finite_solution(theta)
+    for k in np.flatnonzero((berr > _REFINED) | direct):
+        a, b = system(k)
+        try:
+            theta[:, k] = spd_solve(cholesky(a), b)
+        except NotPositiveDefinite:
+            theta[:, k] = np.nan
     return theta
 
 
@@ -316,23 +335,41 @@ def graddiff_threshold(pb: Problem) -> float:
     return float(pb.pencil[0][-1])
 
 
+def graddiff_feasible(pb: Problem, lams: np.ndarray) -> np.ndarray:
+    """Where GradDiff's objective is bounded below, as a mask of ``lams``.
+
+    lam sigma_sub - sigma_f = L (lam I - C) L', so this floors the
+    eigenvalues of lam I - C as :func:`cholesky` floors equilibrated pivots.
+    """
+    return lams - graddiff_threshold(pb) > PIVOT_FLOOR * lams
+
+
 def _graddiff_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "graddiff")
     mu, v = pb.pencil
     st_sub, st_f = pb.st_sub, pb.st_f
     m_sub, m_f = st_sub.m[:, None], st_f.m[:, None]
-    # lam sigma_sub - sigma_f = L (lam I - C) L': floor lam I - C's eigenvalues
-    ok = lams - mu[-1] > PIVOT_FLOOR * lams
+    abs_sub, abs_f = np.abs(st_sub.sigma), np.abs(st_f.sigma)
+    ok = graddiff_feasible(pb, lams)
     lam = lams[ok]
     gap = lam - mu[:, None]
 
     def solve(b_sub, b_f):  # (lam sigma_sub - sigma_f) theta = lam b_sub - b_f
         return v @ ((lam / gap) * (v.T @ b_sub) - (v.T @ b_f) / gap)
 
-    theta = _refined(solve(m_sub, m_f), lambda theta: solve(
-        m_sub - st_sub.sigma @ theta, m_f - st_f.sigma @ theta))
+    fixed = np.abs(m_sub) + np.abs(m_f) / lam + _TINY
+
+    def residual(theta):  # the equations over lam, so nothing overflows
+        r_sub, r_f = m_sub - st_sub.sigma @ theta, m_f - st_f.sigma @ theta
+        size = np.abs(theta)
+        scale = abs_sub @ size + (abs_f @ size) / lam + fixed
+        return (r_sub, r_f), np.max(np.abs(r_sub - r_f / lam) / scale, axis=0)
+
+    def system(k):
+        return lam[k] * st_sub.sigma - st_f.sigma, lam[k] * st_sub.m - st_f.m
+
     thetas = np.full((len(mu), len(lams)), np.nan)
-    thetas[:, ok] = finite_solution(theta)
+    thetas[:, ok] = _refined(solve(m_sub, m_f), residual, solve, system)
     return thetas
 
 
@@ -345,15 +382,29 @@ def _transfer_ridge_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     if np.any(lams <= 0.0):
         raise ValueError(f"lam must be > 0, got {lams.min():g}")
     sigma, m_sub, theta_p = pb.st_sub.sigma, pb.st_sub.m[:, None], pb.theta_p[:, None]
+    abs_sigma = np.abs(sigma)
     d, q = np.linalg.eigh(sigma)
     shift = d[:, None] + lams
+    near, far = 1.0 / (1.0 + lams), lams / (1.0 + lams)
 
     def solve(b_m, b_t):  # (sigma_sub + lam I) theta = b_m + lam b_t
         return q @ ((q.T @ b_m) / shift + (lams / shift) * (q.T @ b_t))
 
-    theta = _refined(solve(m_sub, theta_p), lambda theta: solve(
-        m_sub - sigma @ theta, theta_p - theta))
-    return finite_solution(theta)
+    fixed = near * np.abs(m_sub) + far * np.abs(theta_p) + _TINY
+
+    def residual(theta):  # the equations over 1 + lam, so nothing overflows
+        r_m, r_t = m_sub - sigma @ theta, theta_p - theta
+        size = np.abs(theta)
+        scale = near * (abs_sigma @ size) + far * size + fixed
+        return (r_m, r_t), np.max(np.abs(near * r_m + far * r_t) / scale, axis=0)
+
+    def system(k):
+        return sigma + lams[k] * np.eye(len(d)), pb.st_sub.m + lams[k] * pb.theta_p
+
+    # a shifted spectrum this wide cannot tell a singular system from columns
+    # of very different scales; Cholesky's scale-invariant pivot floor can
+    singular = d[0] + lams <= PIVOT_FLOOR * (d[-1] + lams)
+    return _refined(solve(m_sub, theta_p), residual, solve, system, singular)
 
 
 def _transfer_ridge_grad(pb: Problem, theta, lam) -> np.ndarray:
@@ -394,7 +445,8 @@ def _path_solver(method: str, path, grad) -> Solver:
             raise ValueError(f"lam must be finite, got {lam}")
         theta = path(pb, np.array([lam], dtype=np.float64))[:, 0]
         if np.isnan(theta).any():
-            raise IndefiniteObjective(f"lam={lam:g} is below the convexity threshold")
+            raise IndefiniteObjective(f"lam={lam:g}: the objective is not numerically"
+                                      " strictly convex")
         return _result(method, theta, grad(pb, theta, lam), lam)
 
     return Solver(fit, path)

@@ -5,18 +5,20 @@ its Gram matrices once, in :func:`~ulskit.estimators.prepare`.
 :func:`cv_select` splits the problem's subsample rows into shuffled
 round-robin folds. On each training fold the solver's path gives the
 coefficients of every candidate lambda from one factorization (uls+) or one
-eigendecomposition (ridge, GradDiff; refined by its own residual), and one
-vectorized expression scores them all by squared prediction error on the
-held-out fold. Every tuned fit is a column of the same path, so the search
-scores exactly what the fit returns. Ties break toward the larger (more
-conservative) lambda.
+eigendecomposition (ridge, GradDiff; refined with its own residual, and
+solved by Cholesky where refinement cannot converge), and one vectorized
+expression scores them all by squared prediction error on the held-out fold.
+Every tuned fit is a column of the same path, so the search scores exactly
+what the fit returns. Ties break toward the larger (more conservative)
+lambda.
 
 GradDiff's objective is bounded below only for lambda above a convexity
 threshold, which differs from fold to fold; its path marks an infeasible
-lambda with a NaN column. Infeasible
-candidates score inf rather than failing the search: on every fold if the
-fit on the full subsample would reject them, else from the first fold they
-are infeasible on. :func:`plugin_lambda` is the closed-form rule for uls+.
+lambda with a NaN column. Infeasible candidates score inf rather than
+failing the search: on every fold if the full subsample's
+:func:`~ulskit.estimators.graddiff_feasible` rejects them, else from the
+first fold they are infeasible on. :func:`plugin_lambda` is the closed-form
+rule for uls+.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .data_model import Dataset, SufficientStats
 from .errors import InsufficientData, NoFeasibleLambda
-from .estimators import SOLVERS, Problem, ols_theta
+from .estimators import SOLVERS, Problem, graddiff_feasible, ols_theta
 from .numerics import RngStream
 
 CV_METHODS = tuple(name for name, solver in SOLVERS.items() if solver.tuned)
@@ -135,7 +137,7 @@ def cv_select(
     held_idx = [np.sort(perm[j::spec.folds]) for j in range(spec.folds)]
     alive = np.full(len(grid), True)
     if method == "graddiff":  # infeasible on the whole subsample: inf on every fold
-        alive = ~np.isnan(path(pb, grid)).any(axis=0)
+        alive = graddiff_feasible(pb, grid)
     scores = np.empty((spec.folds, len(grid)))
     for j, idx in enumerate(held_idx):
         held, yy = _fold_stats(sub, idx)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,9 +115,10 @@ def test_unlearn_indefinite_graddiff(tmp_path, capsys):
     assert "IndefiniteObjective" in capsys.readouterr().err
 
 
-def test_unlearn_gd_at_its_iteration_cap_exit_code(tmp_path, capsys):
-    # column blocks scaled 1e3 / 1 / 1e-3: the spectral step leaves the small
-    # block's residual far above grad_tol after the default 10000 steps
+@pytest.fixture
+def gd_cap_example(tmp_path):
+    """Column blocks scaled 1e3 / 1 / 1e-3: the spectral step leaves the small
+    block's residual far above grad_tol after the default 10000 steps."""
     rng = RngStream(3, 0)
     scale = np.repeat([1e3, 1.0, 1e-3], 4)
     x = rng.standard_normal((3000, 12)) * scale
@@ -125,6 +127,13 @@ def test_unlearn_gd_at_its_iteration_cap_exit_code(tmp_path, capsys):
     _write_csv(paths["full"], x, y)
     _write_csv(paths["forget"], x[-300:], y[-300:])
     _write_csv(paths["sub"], x[:600], y[:600])
+    paths["remaining"] = tmp_path / "remaining.csv"
+    _write_csv(paths["remaining"], x[:-300], y[:-300])
+    return paths
+
+
+def test_unlearn_gd_at_its_iteration_cap_exit_code(gd_cap_example, tmp_path, capsys):
+    paths = gd_cap_example
     model = tmp_path / "model.json"
     assert main(["pretrain", str(paths["full"]), "--n-forget", "300",
                  "--out", str(model)]) == 0
@@ -138,6 +147,24 @@ def test_unlearn_gd_at_its_iteration_cap_exit_code(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("NotConverged"), lines
     assert "after 10000 iterations" in lines[0]
     assert not out.exists()
+
+
+def test_bench_keeps_the_rows_of_the_methods_that_did_not_fail(gd_cap_example, tmp_path,
+                                                                capsys):
+    # gd fails at its iteration cap; the uls row is still written
+    paths = gd_cap_example
+    out = tmp_path / "mpe.csv"
+    code = main([
+        "bench", "--remaining", str(paths["remaining"]), "--forget", str(paths["forget"]),
+        "--test", str(paths["remaining"]), "--ratio", "0.2", "--methods", "uls,gd",
+        "--out", str(out),
+    ])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("NotConverged: gd: "), lines
+    rows = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
+    assert list(rows) == ["uls", "gd"]
+    assert math.isfinite(float(rows["uls"])) and rows["gd"] == "nan"
 
 
 def test_unlearn_plugin_lambda_rule(tmp_path):

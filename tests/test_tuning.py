@@ -357,13 +357,19 @@ def _exact_solve(a, b):
     return x
 
 
-@pytest.mark.parametrize("scales", [(1e4, 1.0, 1e-4), (1e-4, 1.0, 1e4)])
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("scales", [(1e4, 1.0, 1e-4), (1e-4, 1.0, 1e4), (1e-6, 1.0, 1e6)])
 @pytest.mark.parametrize("seed", range(2))
-def test_path_columns_match_an_exact_solve_on_block_scaled_columns(scales, seed):
+def test_path_columns_match_an_exact_solve_on_block_scaled_columns(scales, seed, direct,
+                                                                   monkeypatch):
     # column blocks scaled by 1e4, 1 and 1e-4: an eigendecomposition's error is
     # relative to the largest eigenvalue, 1e16 times the smallest, so a path
     # column is exact to rounding only once that error is refined away; in
-    # the ascending order one step of refinement is not enough
+    # the ascending order one step of refinement is not enough, and at 1e6
+    # apart and small lam no number of steps is, so the column is solved by
+    # Cholesky instead, as every column is with ``direct``
+    if direct:
+        monkeypatch.setattr("ulskit.estimators._REFINED", -1.0)
     p, n, n_f = 6, 800, 80
     scale = np.repeat(scales, p // 3)
     rng = RngStream(seed, 0)
@@ -372,7 +378,7 @@ def test_path_columns_match_an_exact_solve_on_block_scaled_columns(scales, seed)
     model = pretrain(SQUARED, Dataset(x, y), n_forget=n_f)
     forget = Dataset(x[-n_f:], y[-n_f:], "forget")
     pb = prepare(model, forget, Dataset(x[:300], y[:300], "subsample"))
-    grid = log_grid(1e-3, 1e3, 7)
+    grid = log_grid(1e-4, 1e3, 8)
     for method in CV_METHODS:
         thetas = SOLVERS[method].path(pb, np.array(grid))
         solved = 0
@@ -384,3 +390,17 @@ def test_path_columns_match_an_exact_solve_on_block_scaled_columns(scales, seed)
             err = max(abs((Fraction(t) - e) / e) for t, e in zip(thetas[:, k], exact))
             assert err <= 1e-12, (method, lam, float(err))
         assert solved >= 3, method
+
+
+def test_tl_rejects_a_lambda_at_which_a_singular_gram_stays_singular():
+    # a duplicated column: sigma_sub + lam I at lam = 1e-14 has an equilibrated
+    # pivot below the floor, so the eigendecomposition's column there would be
+    # rounding noise along the null direction; Cholesky's pivot floor decides
+    model, _, forget, sub = linear_instance(3)
+    x = sub.x.copy()
+    x[:, -1] = x[:, -2]
+    pb = prepare(model, forget, Dataset(x, sub.y, "subsample"))
+    thetas = SOLVERS["tl"].path(pb, np.array([1e-14, 1e-4]))
+    assert np.isnan(thetas[:, 0]).all() and np.isfinite(thetas[:, 1]).all()
+    with pytest.raises(IndefiniteObjective):
+        SOLVERS["tl"].fit(pb, 1e-14)

@@ -30,7 +30,7 @@ from .data_model import (
     subsample,
 )
 from .errors import ParseError, SchemaMismatch, UlsError
-from .estimators import SOLVERS, GdConfig, prepare, pretrain
+from .estimators import SOLVERS, GdConfig, forget_stats, prepare, pretrain
 from .inference import INTERVALS, ci_ols, ci_uls
 from .loss import get_loss
 from .numerics import RngStream
@@ -186,7 +186,7 @@ def _cmd_bench(args) -> int:
     n_sub = max(1, int(round(args.ratio * remaining.n)))
     sub = subsample(remaining, n_sub, RngStream(args.seed, 1))
     st_r = compute_stats(remaining)
-    pb = pooled_problem(st_r, compute_stats(sub), forget, sub)
+    pb = pooled_problem(st_r, compute_stats(sub), forget_stats(forget, sub.p), sub)
 
     # the retrained oracle rides along by default; an explicit list is final
     if args.methods:

@@ -94,6 +94,10 @@ class SufficientStats:
                 "the data's moments overflow: X'X/n or X'y/n is not finite"
             )
 
+    @property
+    def p(self) -> int:
+        return self.m.shape[0]
+
     def __add__(self, other: "SufficientStats") -> "SufficientStats":
         return self._merge(other, other.n)
 
@@ -252,7 +256,7 @@ def load_csv(path, role: str = "remaining", expected_p: int | None = None) -> Da
 
 
 # ASCII separators that np.loadtxt strips around a number and float() rejects
-_LOADTXT_ONLY_SPACE = re.compile("[\x1c-\x1f]")
+_FS, _GS, _RS, _US = "\x1c", "\x1d", "\x1e", "\x1f"
 
 
 def _parse_body(lines, p: int) -> np.ndarray | None:
@@ -273,7 +277,7 @@ def _parse_body(lines, p: int) -> np.ndarray | None:
         for line in lines
     ):
         return None
-    if any(map(_LOADTXT_ONLY_SPACE.search, lines)):
+    if any(_FS in line or _GS in line or _RS in line or _US in line for line in lines):
         return None
     try:
         # comments=None: "#" is no comment marker in this format

@@ -127,7 +127,7 @@ def _spd_factor(st: SufficientStats) -> SpdFactor:
         raise SingularGram(str(exc)) from None
 
 
-def _check_dims(model: PretrainedModel, *datasets: Dataset) -> None:
+def _check_dims(model: PretrainedModel, *datasets: Dataset | SufficientStats) -> None:
     for d in datasets:
         if d.p != model.p:
             raise DimensionMismatch(
@@ -142,6 +142,11 @@ def forget_stats(forget: Dataset | None, p: int) -> SufficientStats:
     return SufficientStats(sigma=np.zeros((p, p)), m=np.zeros(p), n=0)
 
 
+def _stats(d: Dataset | SufficientStats, p: int) -> SufficientStats:
+    """``d`` itself if it is statistics already, else those of its rows."""
+    return d if isinstance(d, SufficientStats) else forget_stats(d, p)
+
+
 # ---------------------------------------------------------------------------
 # The prepared problem and the solver table
 # ---------------------------------------------------------------------------
@@ -152,9 +157,10 @@ class Problem:
 
     ``model`` is None when only the subsample matters (OLS and its
     interval); otherwise it holds theta_p and the weights omega_f and
-    omega_r. ``sub`` and ``forget`` are the rows behind the statistics,
-    which gradient descent, the interval noise terms and the
-    cross-validation folds read; a fold problem has no ``sub``. The
+    omega_r. ``sub`` and ``forget`` are the rows behind the statistics.
+    The interval noise terms and the cross-validation folds read ``sub``; a
+    fold problem has none. Only logistic gradient descent reads ``forget``,
+    so a squared-loss problem may have none (the simulation's). The
     subsample Cholesky factor, and GradDiff's pencil reduced through it, are
     computed on first use and then shared. They are lazy because the ridge
     solver never needs them and must work when n_sub < p.
@@ -416,6 +422,8 @@ def _gd(pb: Problem, lam=None) -> EstimateResult:
     cfg = pb.gd
     if cfg.alpha is None:
         cfg = replace(cfg, alpha=_spectral_step(f, pb.model, pb.st_sub.sigma))
+    if f.loss_id == "squared":
+        return gd_unlearn(f, pb.model, pb.st_f, pb.st_sub, cfg)
     return gd_unlearn(f, pb.model, pb.forget, pb.sub, cfg)
 
 
@@ -522,15 +530,18 @@ def transfer_ridge(
     return SOLVERS["tl"].fit(prepare(model, None, sub), lam)
 
 
-def default_step_size(f: LossFn, model: PretrainedModel, sub: Dataset) -> float:
+def default_step_size(
+    f: LossFn, model: PretrainedModel, sub: Dataset | SufficientStats
+) -> float:
     """Step size inside the convergent range for :func:`gd_unlearn`.
 
     The retain term's curvature is bounded by 2 Nr Lmax(sigma_sub) for the
     squared loss and by Nr Lmax(sigma_sub) / 4 for the logistic loss; the
     returned step keeps the iteration map a strict contraction either way.
-    Lmax is computed exactly from the symmetric eigenvalues of sigma_sub.
+    Lmax is computed exactly from the symmetric eigenvalues of sigma_sub,
+    which ``sub`` gives as rows or as their statistics.
     """
-    return _spectral_step(f, model, compute_stats(sub).sigma)
+    return _spectral_step(f, model, _stats(sub, model.p).sigma)
 
 
 def _spectral_step(f: LossFn, model: PretrainedModel, sigma_sub) -> float:
@@ -545,23 +556,25 @@ def _spectral_step(f: LossFn, model: PretrainedModel, sigma_sub) -> float:
 def gd_unlearn(
     f: LossFn,
     model: PretrainedModel,
-    forget: Dataset,
-    sub: Dataset,
+    forget: Dataset | SufficientStats,
+    sub: Dataset | SufficientStats,
     cfg: GdConfig = GdConfig(),
     callback=None,
 ) -> EstimateResult:
     """Generic-loss unlearning by gradient descent from the pretrained fit.
 
-    Starting at theta_p, iterates
+    Starting at theta_p, iterates theta <- theta - alpha g(theta) with
 
-        theta <- theta - alpha * [ (Nr/n_sub) grad(theta; sub)
-                                   - (Nr/n_sub) grad(theta_p; sub)
-                                   - grad(theta_p; forget) ]
+        g(theta) = (Nr/n_sub) [grad(theta; sub) - grad(theta_p; sub)]
+                   - grad(theta_p; forget)
 
-    and stops when the bracketed residual norm drops to grad_tol * (1 +
-    ||theta_p||), raising :class:`NotConverged` if it has not after t_max
-    steps. For the squared loss the fixed point is exactly the closed-form
-    :func:`uls` output. ``callback(t, theta)`` observes each iterate.
+    until ||g|| <= grad_tol * (1 + ||theta_p||), raising :class:`NotConverged`
+    if that takes more than t_max steps. For the squared loss ``forget`` and
+    ``sub`` may be rows or their statistics (rows are reduced once), and g is
+    2 Nr sigma_sub (theta - theta_p) - grad(theta_p; forget), an O(p^2) step
+    whose fixed point is exactly :func:`uls`. Expanded into (Nr/n_sub)
+    grad(theta; sub) minus a constant, it cancels two large terms and can
+    stall above a tight tolerance. ``callback(t, theta)`` observes each iterate.
     """
     if f.loss_id != model.loss_id:
         raise ValueError(
@@ -570,14 +583,24 @@ def gd_unlearn(
     _check_dims(model, forget, sub)
     theta_p = model.theta_p
     scale = 1.0 + float(np.linalg.norm(theta_p))
-    ratio = model.n_remaining / sub.n
-    anchor = ratio * loss_grad(f, theta_p, sub) + loss_grad(f, theta_p, forget)
+    if f.loss_id == "squared":
+        forget, sub = _stats(forget, model.p), _stats(sub, model.p)
+        hess, c = 2.0 * model.n_remaining * sub.sigma, -loss_grad(f, theta_p, forget)
+
+        def objective_grad(theta):
+            return hess @ (theta - theta_p) + c
+    else:
+        ratio = model.n_remaining / sub.n
+        anchor = ratio * loss_grad(f, theta_p, sub) + loss_grad(f, theta_p, forget)
+
+        def objective_grad(theta):
+            return ratio * loss_grad(f, theta, sub) - anchor
     alpha = cfg.alpha if cfg.alpha is not None else default_step_size(f, model, sub)
 
     theta = theta_p.copy()
     tol = cfg.grad_tol * scale
     for t in range(cfg.t_max + 1):
-        g = ratio * loss_grad(f, theta, sub) - anchor
+        g = objective_grad(theta)
         residual = float(np.linalg.norm(g))
         if residual <= tol or t == cfg.t_max:
             break

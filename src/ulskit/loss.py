@@ -2,7 +2,9 @@
 
 Values and gradients are sums over the dataset's rows, not means. The squared
 loss carries no 1/2 factor, so its gradient is -2 X'(y - X theta); the
-factor of two cancels inside the closed-form unlearning algebra.
+factor of two cancels inside the closed-form unlearning algebra. In the
+dataset's statistics it is -2 n (m - sigma theta), which :func:`loss_grad`
+also takes; the logistic loss needs the rows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import LOSS_IDS, Dataset
+from .data_model import LOSS_IDS, Dataset, SufficientStats
 from .errors import DimensionMismatch
 
 
@@ -32,7 +34,7 @@ def get_loss(loss_id: str) -> LossFn:
     return LossFn(loss_id)
 
 
-def _check_theta(theta, d: Dataset) -> np.ndarray:
+def _check_theta(theta, d: Dataset | SufficientStats) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (d.p,):
         raise DimensionMismatch(
@@ -71,9 +73,14 @@ def loss_value(f: LossFn, theta, d: Dataset) -> float:
     return float(np.sum(d.y * np.logaddexp(0.0, -u) + (1.0 - d.y) * np.logaddexp(0.0, u)))
 
 
-def loss_grad(f: LossFn, theta, d: Dataset) -> np.ndarray:
-    """Gradient of :func:`loss_value` with respect to theta."""
+def loss_grad(f: LossFn, theta, d: Dataset | SufficientStats) -> np.ndarray:
+    """Gradient of :func:`loss_value` with respect to theta; the squared
+    loss's also from a dataset's statistics."""
     theta = _check_theta(theta, d)
+    if isinstance(d, SufficientStats):
+        if f.loss_id != "squared":
+            raise ValueError(f"the {f.loss_id} loss needs the rows, not statistics")
+        return -2.0 * d.n * (d.m - d.sigma @ theta)
     if d.n == 0:
         return np.zeros_like(theta)
     u = d.x @ theta

@@ -5,14 +5,15 @@ from N(0, AR(rho)) with entries rho**|j-k|, unit-variance Gaussian noise on
 both responses, and shifts the forget coefficients by delta along the
 normalized all-ones direction so that ||theta_f - theta_r|| = delta exactly.
 
-A replication needs the remaining set only through its statistics X_r'X_r
-and X_r'y_r, plus a uniform subsample of its rows. Since a uniform subsample
-of iid rows is itself iid, :func:`draw_rep_stats` draws the n_sub subsample
-rows and the forget rows explicitly and the other n_r - n_sub remaining rows
-only through their Gram matrix (a Wishart draw by the Bartlett
-decomposition) and cross-moment. That is exact in distribution and costs
-O(n_sub p + p^2) normals instead of O(n_r p). :func:`generate_rep` still
-draws every remaining row, for checks that need them.
+A replication needs the forget set only through its statistics X_f'X_f and
+X_f'y_f, and the remaining set through its statistics plus a uniform
+subsample of its rows. Since a uniform subsample of iid rows is itself iid,
+:func:`draw_rep_stats` draws the n_sub subsample rows explicitly, and the
+forget rows and the other n_r - n_sub remaining rows only through their Gram
+matrices (Wishart draws by the Bartlett decomposition) and cross-moments.
+That is exact in distribution and costs O(n_sub p + p^2) normals instead of
+O((n_r + n_f) p). :func:`generate_rep` still draws every row, for checks
+that need them.
 
 Every replication owns child random streams keyed by its index, so results
 are bit-identical regardless of worker count, and the truth vector is drawn
@@ -134,52 +135,51 @@ def _with_response(x, theta, rng: RngStream, role: str) -> Dataset:
     return Dataset(x, x @ theta + rng.standard_normal(x.shape[0]), role)
 
 
-def _draw_forget(cfg: SimConfig, theta_f, rng: RngStream) -> Dataset:
-    ar_factor = cholesky(ar1_covariance(cfg.p, cfg.rho_f))
-    x_f = sample_gaussian(rng, np.zeros(cfg.p), ar_factor, cfg.n_f)
-    return _with_response(x_f, theta_f, rng, "forget")
-
-
 def generate_rep(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
     """One replication's (remaining, forget, subsample) datasets, row by row."""
     x_r = rng.standard_normal((cfg.n_r, cfg.p))
     remaining = _with_response(x_r, theta_r, rng, "remaining")
-    forget = _draw_forget(cfg, theta_f, rng)
+    ar_factor = cholesky(ar1_covariance(cfg.p, cfg.rho_f))
+    x_f = sample_gaussian(rng, np.zeros(cfg.p), ar_factor, cfg.n_f)
+    forget = _with_response(x_f, theta_f, rng, "forget")
     sub = subsample(remaining, cfg.n_sub, rng)
     return remaining, forget, sub
 
 
-def draw_rep_stats(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
-    """One replication as (st_r, st_sub, forget, sub).
+def _draw_stats(rng: RngStream, n: int, lower, theta) -> SufficientStats:
+    """Statistics of n rows x ~ N(0, L L'), L = ``lower``, with responses
+    x theta plus unit-variance noise. X = Z L' with Z'Z ~ Wishart(n, I) = A A'
+    (a Bartlett factor A), so X'X = (L A)(L A)' and X'eps = L A z given X'X;
+    with n < p there is no Bartlett draw, and the rows are drawn."""
+    p = theta.shape[0]
+    if n == 0:
+        return forget_stats(None, p)
+    if n < p:
+        x = rng.standard_normal((n, p)) @ lower.T
+        gram, cross = x.T @ x, x.T @ (x @ theta + rng.standard_normal(n))
+    else:
+        a = lower @ bartlett_factor(rng, n, p).lower
+        gram = a @ a.T
+        cross = gram @ theta + a @ rng.standard_normal(p)
+    return SufficientStats(sigma=gram / n, m=cross / n, n=n)
 
-    Equal in law to :func:`generate_rep` followed by ``compute_stats``. The
-    subsample rows and forget rows are drawn explicitly. The other
-    df = n_r - n_sub remaining rows enter only through X'X ~ Wishart(df, I)
-    (a Bartlett factor A, X'X = A A') and X'eps | X'X ~ N(0, X'X), drawn as
-    A z; with df < p the Bartlett draw is undefined and the df rows are
-    drawn instead.
+
+def draw_rep_stats(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
+    """One replication as (st_r, st_sub, st_f, sub).
+
+    Equal in law to :func:`generate_rep` followed by ``compute_stats``. Only
+    the subsample rows are drawn; the forget rows (AR(rho) covariance) and the
+    other n_r - n_sub remaining rows (covariance I) are drawn as statistics.
     """
     x_sub = rng.standard_normal((cfg.n_sub, cfg.p))
     sub = _with_response(x_sub, theta_r, rng, "subsample")
-    forget = _draw_forget(cfg, theta_f, rng)
     st_sub = compute_stats(sub)
+    ar_factor = cholesky(ar1_covariance(cfg.p, cfg.rho_f))
+    st_f = _draw_stats(rng, cfg.n_f, ar_factor.lower, theta_f)
     df = cfg.n_r - cfg.n_sub
     if df == 0:
-        return st_sub, st_sub, forget, sub
-    if df < cfg.p:
-        x_rest = rng.standard_normal((df, cfg.p))
-        rest = _with_response(x_rest, theta_r, rng, "remaining")
-        gram, cross = rest.x.T @ rest.x, rest.x.T @ rest.y
-    else:
-        a = bartlett_factor(rng, df, cfg.p).lower
-        gram = a @ a.T
-        cross = gram @ theta_r + a @ rng.standard_normal(cfg.p)
-    st_r = SufficientStats(
-        sigma=(cfg.n_sub * st_sub.sigma + gram) / cfg.n_r,
-        m=(cfg.n_sub * st_sub.m + cross) / cfg.n_r,
-        n=cfg.n_r,
-    )
-    return st_r, st_sub, forget, sub
+        return st_sub, st_sub, st_f, sub
+    return st_sub + _draw_stats(rng, df, np.eye(cfg.p), theta_r), st_sub, st_f, sub
 
 
 def mpe(theta, test: Dataset) -> float:
@@ -212,17 +212,17 @@ def _oracle_lambdas(cfg: SimConfig) -> dict:
     return rules
 
 
-def pooled_problem(st_r, st_sub, forget: Dataset, sub: Dataset) -> Problem:
+def pooled_problem(st_r, st_sub, st_f, sub: Dataset) -> Problem:
     """The problem of a model fitted by least squares on ``st_r + st_f``, the
-    pooled remaining and forget statistics; ``st_sub`` are those of ``sub``."""
-    st_f = forget_stats(forget, sub.p)
+    pooled remaining and forget statistics; ``st_sub`` are those of ``sub``.
+    It holds no forget rows, which only logistic gradient descent reads."""
     model = PretrainedModel(
         theta_p=ols_theta(st_r + st_f),
         n_total=st_r.n + st_f.n,
         n_remaining=st_r.n,
         n_forget=st_f.n,
     )
-    return Problem(model=model, st_sub=st_sub, st_f=st_f, sub=sub, forget=forget)
+    return Problem(model=model, st_sub=st_sub, st_f=st_f, sub=sub)
 
 
 def method_theta(name: str, pb: Problem, st_r, pick_lambda) -> np.ndarray:
@@ -247,8 +247,8 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     cv_rng = RngStream(cfg.seed, 2 + 2 * rep)
     if cfg.redraw_truth:
         theta_r, theta_f = draw_truth(cfg, data_rng)
-    st_r, st_sub, forget, sub = draw_rep_stats(cfg, theta_r, theta_f, data_rng)
-    pb = pooled_problem(st_r, st_sub, forget, sub)
+    st_r, st_sub, st_f, sub = draw_rep_stats(cfg, theta_r, theta_f, data_rng)
+    pb = pooled_problem(st_r, st_sub, st_f, sub)
     v_idx = cfg.v_direction - 1
     v = np.zeros(cfg.p)
     v[v_idx] = 1.0

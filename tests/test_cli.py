@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ulskit
-from helpers import linear_instance
+from helpers import linear_instance, logistic_instance
 from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv, save_model
 from ulskit.cli import main
 from ulskit.simulation import PRESETS, SimConfig
@@ -563,6 +563,29 @@ def test_unlearn_cli_library_and_table_agree(p3_example, method):
     assert np.array_equal(library, table)
 
 
+def test_unlearn_gd_on_a_logistic_model(tmp_path):
+    # logistic gradient descent reads the rows, as the library does
+    from ulskit import LOGISTIC, gd_unlearn, load_csv
+
+    _, remaining, forget = logistic_instance(3, n_r=600, n_f=60, p=4)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("full", "forget", "sub")}
+    _write_csv(paths["full"], np.vstack([remaining.x, forget.x]),
+               np.concatenate([remaining.y, forget.y]))
+    _write_csv(paths["forget"], forget.x, forget.y)
+    _write_csv(paths["sub"], remaining.x[:200], remaining.y[:200])
+    model, out = tmp_path / "model.json", tmp_path / "gd.json"
+    assert main(["pretrain", str(paths["full"]), "--loss", "logistic",
+                 "--n-forget", "60", "--out", str(model)]) == 0
+    assert main(["unlearn", "--model", str(model), "--forget", str(paths["forget"]),
+                 "--sub", str(paths["sub"]), "--method", "gd", "--out", str(out)]) == 0
+    fit = gd_unlearn(LOGISTIC, load_model(model),
+                     load_csv(paths["forget"], role="forget"),
+                     load_csv(paths["sub"], role="subsample"))
+    payload = json.loads(out.read_text())
+    assert payload["theta"] == [float(v) for v in fit.theta]
+    assert payload["iterations"] == fit.iterations > 0
+
+
 def test_unlearn_plugin_rule_on_empty_forget_is_a_noop(p3_example):
     # lambda = omega_r * omega_f * delta_hat is 0 when there is nothing to forget
     paths, tmp = p3_example
@@ -960,6 +983,9 @@ _MALFORMED_CSVS = {
     "quoted-line-break": 'y,x1,x2,x3\n1,2,"3\n5",4\n',
     "quoted-line-break-in-the-header": 'y,x1,x2,"x3\n"\n1,2,3,4\n',
     "file-separator": "y,x1,x2,x3\n1,2,3\x1c,4\n",
+    "group-separator": "y,x1,x2,x3\n1,2\x1d,3,4\n",
+    "record-separator": "y,x1,x2,x3\n1,\x1e2,3,4\n",
+    "unit-separator": "y,x1,x2,x3\n1,2,3,4\x1f\n",
 }
 
 # (command, the flag that names the CSV, the files of the other roles)

@@ -32,6 +32,7 @@ from ulskit import (
     uls_plus,
 )
 from ulskit.estimators import SOLVERS, _result
+from ulskit.simulation import pooled_problem
 
 
 def test_ols_sample_mean():
@@ -279,6 +280,34 @@ def test_gd_divergence_detected():
     huge = 1e4 * default_step_size(SQUARED, model, sub)
     with pytest.raises(Diverged):
         gd_unlearn(SQUARED, model, forget, sub, GdConfig(alpha=huge))
+
+
+def test_gd_on_rows_and_on_their_statistics_agree():
+    # the rows are reduced to the same statistics, step size included
+    model, _, forget, sub = linear_instance(19)
+    rows = gd_unlearn(SQUARED, model, forget, sub)
+    stats = gd_unlearn(SQUARED, model, compute_stats(forget), compute_stats(sub))
+    assert np.array_equal(rows.theta, stats.theta)
+    assert rows.iterations == stats.iterations > 0
+    assert rows.grad_residual == stats.grad_residual
+
+
+def test_gd_solver_needs_no_forget_rows():
+    # the simulation's problem holds the forget set's statistics only
+    model, remaining, forget, sub = linear_instance(20)
+    pb = pooled_problem(compute_stats(remaining), compute_stats(sub),
+                        compute_stats(forget), sub)
+    assert pb.forget is None
+    fit = SOLVERS["gd"].fit(pb)
+    assert fit.iterations > 0
+    assert np.linalg.norm(fit.theta - SOLVERS["uls"].fit(pb).theta) <= 1e-6
+
+
+def test_logistic_gd_rejects_statistics():
+    model, remaining, forget = logistic_instance(22, n_r=300, n_f=30)
+    sub = remaining.with_role("subsample")
+    with pytest.raises(ValueError, match="needs the rows"):
+        gd_unlearn(LOGISTIC, model, compute_stats(forget), compute_stats(sub))
 
 
 def test_gd_loss_mismatch_rejected():

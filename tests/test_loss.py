@@ -8,6 +8,7 @@ from ulskit import (
     LOGISTIC,
     SQUARED,
     RngStream,
+    compute_stats,
     concat_datasets,
     loss_grad,
     loss_value,
@@ -82,6 +83,18 @@ def test_empty_dataset_grad_is_zero():
     d = Dataset(np.empty((0, 4)), np.empty(0), "forget")
     assert loss_value(SQUARED, np.ones(4), d) == 0.0
     assert_allclose(loss_grad(SQUARED, np.ones(4), d), np.zeros(4))
+
+
+def test_squared_grad_from_statistics():
+    # -2 n (m - sigma theta) is -2 X'(y - X theta); the logistic loss needs rows
+    rng = RngStream(5, 0)
+    d = Dataset(rng.standard_normal((30, 4)), rng.standard_normal(30))
+    theta = rng.standard_normal(4)
+    st = compute_stats(d)
+    assert_allclose(loss_grad(SQUARED, theta, st), loss_grad(SQUARED, theta, d),
+                    rtol=1e-12, atol=1e-12 * np.linalg.norm(d.x.T @ d.y))
+    with pytest.raises(ValueError, match="needs the rows"):
+        loss_grad(LOGISTIC, theta, st)
 
 
 def test_grad_additive_over_concat():

@@ -19,7 +19,7 @@ from ulskit import (
     run_experiment,
     write_records,
 )
-from ulskit.numerics import _openblas_thread_controls
+from ulskit.numerics import _openblas_thread_controls, ar1_covariance
 from ulskit.simulation import SimConfig, _pool_map, _run_rep, draw_rep_stats
 
 
@@ -306,3 +306,42 @@ def test_run_rep_full_ratio_uls_is_retrain_under_shift():
     errors = {r.method: r.error for r in _run_rep(cfg, 0, theta_r, theta_f, {})}
     assert errors["uls"] == pytest.approx(errors["retrain"], abs=1e-10)
     assert abs(errors["pretrain"] - errors["retrain"]) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "n_f, p",
+    [(6, 3), (2, 4)],  # n_f >= p by Bartlett; n_f < p drawn as rows
+)
+def test_forget_stats_moments(n_f, p):
+    # n_f sigma_f = X_f'X_f and n_f (m_f - sigma_f theta_f) = X_f'eps of n_f
+    # iid N(0, S) rows, S = AR(rho), with unit noise: E X'X = n_f S,
+    # Var (X'X)_ii = 2 n_f S_ii^2, Cov X'eps = n_f S. The tolerances are 5
+    # Monte Carlo standard errors, from Var (X'X)_ij <= 2 n_f, Var of the
+    # sample variance of (X'X)_ii (a chi2 draw) = (8 n_f^2 + 48 n_f) / draws,
+    # and Var (X'eps)_i (X'eps)_j <= 2 n_f^2 + 6 n_f, as S_ii = 1.
+    cfg = small_config(n_r=40, n_f=n_f, p=p, rho_f=0.6)
+    theta_r, theta_f = draw_truth(cfg, RngStream(9, 0))
+    cov = ar1_covariance(p, cfg.rho_f)
+    draws = 4000
+    gram = np.empty((draws, p, p))
+    cross = np.empty((draws, p))
+    for k in range(draws):
+        _, _, st_f, _ = draw_rep_stats(cfg, theta_r, theta_f, RngStream(9, 1 + k))
+        assert st_f.n == n_f
+        gram[k] = n_f * st_f.sigma
+        cross[k] = n_f * (st_f.m - st_f.sigma @ theta_f)
+    var = np.array([2 * n_f, 8 * n_f**2 + 48 * n_f, 2 * n_f**2 + 6 * n_f])
+    se = np.sqrt(var / draws)
+    assert_allclose(gram.mean(axis=0), n_f * cov, rtol=0, atol=5 * se[0])
+    assert_allclose(np.diag(gram.var(axis=0)), 2 * n_f, rtol=0, atol=5 * se[1])
+    assert_allclose(cross.T @ cross / draws, n_f * cov, rtol=0, atol=5 * se[2])
+    assert np.linalg.matrix_rank(gram[0]) == min(n_f, p)
+
+
+def test_empty_forget_set_has_zero_stats():
+    cfg = small_config(n_f=0)
+    theta_r, theta_f = draw_truth(cfg, RngStream(3, 0))
+    _, _, st_f, _ = draw_rep_stats(cfg, theta_r, theta_f, RngStream(3, 1))
+    assert st_f.n == 0
+    assert not st_f.sigma.any() and not st_f.m.any()
+    assert (st_f.sigma.shape, st_f.m.shape) == ((cfg.p, cfg.p), (cfg.p,))

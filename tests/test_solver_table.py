@@ -72,7 +72,8 @@ def test_replication_counts(calls):
     records = _run_rep(cfg, 0, theta_r, theta_f, {})
     assert all(r.error is not None and r.covered is not None for r in records)
     assert tally["cholesky"] <= 3
-    assert tally["compute_stats"] == 2
+    # the subsample's Gram only: the forget set is drawn as statistics
+    assert tally["compute_stats"] == 1
 
 
 def test_cv_uls_plus_factors_each_fold_once(calls):
@@ -105,7 +106,7 @@ def test_tuned_replication_forms_the_grams_once(calls):
     tally.clear()
     records = _run_rep(cfg, 0, theta_r, theta_f, {})
     assert all(r.error is not None for r in records)
-    assert tally["compute_stats"] == 2
+    assert tally["compute_stats"] == 1
     # the AR(rho) design factor, theta_p, the subsample factor (which also
     # gives graddiff's pencil, read by its CV and its fit), one per uls+ and
     # one per graddiff CV fold; the tl path and fit factor nothing

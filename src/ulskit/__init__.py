@@ -64,7 +64,6 @@ from .inference import (
 from .loss import LOGISTIC, SQUARED, LossFn, get_loss, loss_grad, loss_value
 from .numerics import (
     RngStream,
-    SpdFactor,
     ar1_covariance,
     cholesky,
     sample_gaussian,

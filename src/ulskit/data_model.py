@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,9 +209,6 @@ def split_train_test(d: Dataset, test_fraction: float, rng: RngStream):
 # "loss": "squared"|"logistic"}. Results and summaries: indented JSON with
 # sorted keys (save_json).
 
-_HEADER_RE = re.compile(r"x([1-9][0-9]*)")
-
-
 def _check_header(fields, path) -> int:
     if not fields or fields[0] != "y":
         raise SchemaMismatch(f"{path}: header must start with 'y', got {fields[:1]}")
@@ -220,8 +216,7 @@ def _check_header(fields, path) -> int:
     if p < 1:
         raise SchemaMismatch(f"{path}: header needs at least one covariate column")
     for j, name in enumerate(fields[1:], start=1):
-        match = _HEADER_RE.fullmatch(name)  # "$" would admit a trailing "\n"
-        if not match or int(match.group(1)) != j:
+        if name != f"x{j}":
             raise SchemaMismatch(
                 f"{path}: column {j + 1} named {name!r}, expected 'x{j}'"
             )

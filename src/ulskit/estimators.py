@@ -68,7 +68,6 @@ from .errors import (
 from .loss import LossFn, get_loss, loss_grad, loss_value
 from .numerics import (
     PIVOT_FLOOR,
-    SpdFactor,
     cholesky,
     finite_solution,
     max_eigenvalue,
@@ -116,7 +115,7 @@ class GdConfig:
             raise ValueError("grad_tol must be positive")
 
 
-def _spd_factor(st: SufficientStats) -> SpdFactor:
+def _spd_factor(st: SufficientStats) -> np.ndarray:
     """Cholesky factor of a Gram matrix; a singular one is a SingularGram."""
     p = st.m.shape[0]
     if st.n < p:
@@ -178,7 +177,7 @@ class Problem:
         return self.model.theta_p
 
     @cached_property
-    def sub_factor(self) -> SpdFactor:
+    def sub_factor(self) -> np.ndarray:
         return _spd_factor(self.st_sub)
 
     @cached_property

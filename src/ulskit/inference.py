@@ -29,7 +29,7 @@ import numpy as np
 from .data_model import Dataset, PretrainedModel
 from .errors import DegenerateDirection, DimensionMismatch, SingularGram
 from .estimators import SOLVERS, Problem, prepare
-from .numerics import SpdFactor, as_vector, spd_solve
+from .numerics import as_vector, spd_solve
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _noise_terms(v, sub: Dataset, factor: SpdFactor, theta_uls, theta_p) -> NoiseTerms:
-    w = spd_solve(factor, v)
+def _noise_terms(v, sub: Dataset, lower: np.ndarray, theta_uls, theta_p) -> NoiseTerms:
+    w = spd_solve(lower, v)
     xw = sub.x @ w
     a = xw * (sub.y - sub.x @ theta_uls)
     diff = theta_uls - theta_p

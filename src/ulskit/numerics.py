@@ -14,7 +14,6 @@ from __future__ import annotations
 import ctypes
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +46,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SpdFactor:
-    """Lower-triangular Cholesky factor L of an SPD matrix A = L @ L.T."""
-
-    lower: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-
-def cholesky(a) -> SpdFactor:
-    """Factor a symmetric positive-definite matrix.
+def cholesky(a) -> np.ndarray:
+    """Lower-triangular L with L @ L.T = a, a symmetric positive-definite matrix.
 
     Raises :class:`NotPositiveDefinite` when the factorization fails or any
     pivot of the equilibrated ``diag(a)^-1/2 a diag(a)^-1/2``, ``L_ii**2 /
@@ -84,22 +72,22 @@ def cholesky(a) -> SpdFactor:
         raise NotPositiveDefinite(
             f"smallest equilibrated pivot {ratios.min():.3e} <= floor {PIVOT_FLOOR:g}"
         )
-    return SpdFactor(lower=lower)
+    return lower
 
 
-def spd_solve(f: SpdFactor, b) -> np.ndarray:
-    """Solve A x = b given the Cholesky factor of A. Accepts 1-d or 2-d b.
+def spd_solve(lower: np.ndarray, b) -> np.ndarray:
+    """Solve A x = b given A's Cholesky factor ``lower``. Accepts 1-d or 2-d b.
 
     The factor is finite by construction, so instead of scanning both
     operands first, only the solution is checked: a non-finite b, or a solve
     that overflows, is a ValueError rather than a NaN answer.
     """
     arr = np.asarray(b, dtype=np.float64)
-    if arr.shape[0] != f.dim:
+    if arr.shape[0] != lower.shape[0]:
         raise DimensionMismatch(
-            f"factor dim {f.dim} does not match rhs length {arr.shape[0]}"
+            f"factor dim {lower.shape[0]} does not match rhs length {arr.shape[0]}"
         )
-    return finite_solution(np.linalg.solve(f.lower.T, _lower_solve(f.lower, arr)))
+    return finite_solution(np.linalg.solve(lower.T, _lower_solve(lower, arr)))
 
 
 def _lower_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,13 +110,13 @@ def finite_solution(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def pencil_eigh(f: SpdFactor, a) -> tuple[np.ndarray, np.ndarray]:
+def pencil_eigh(lower: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues mu, ascending, and eigenvectors V of the pencil ``a V = b V
     diag(mu)``, ``V' b V = I``, given b's factor L, reduced as LAPACK's sygvd
     does: the eigenvectors W of ``L^-1 a L^-T`` give ``V = L^-T W``."""
-    half = _lower_solve(f.lower, a)
-    mu, w = np.linalg.eigh(_lower_solve(f.lower, half.T))
-    return mu, np.linalg.solve(f.lower.T, w)
+    half = _lower_solve(lower, a)
+    mu, w = np.linalg.eigh(_lower_solve(lower, half.T))
+    return mu, np.linalg.solve(lower.T, w)
 
 
 class _PhdrInfo(ctypes.Structure):
@@ -250,18 +238,18 @@ class RngStream:
         return np.sort(idx)
 
 
-def sample_gaussian(rng: RngStream, mean, cov_factor: SpdFactor, n: int) -> np.ndarray:
+def sample_gaussian(rng: RngStream, mean, lower: np.ndarray, n: int) -> np.ndarray:
     """Draw n rows of N(mean, L @ L.T) as mean + z @ L.T with z std normal."""
     mu = as_vector(mean, "mean")
-    if mu.shape[0] != cov_factor.dim:
+    if mu.shape[0] != lower.shape[0]:
         raise DimensionMismatch(
-            f"mean length {mu.shape[0]} does not match factor dim {cov_factor.dim}"
+            f"mean length {mu.shape[0]} does not match factor dim {lower.shape[0]}"
         )
-    z = rng.standard_normal((n, cov_factor.dim))
-    return z @ cov_factor.lower.T + mu
+    z = rng.standard_normal((n, lower.shape[0]))
+    return z @ lower.T + mu
 
 
-def bartlett_factor(rng: RngStream, df: int, p: int) -> SpdFactor:
+def bartlett_factor(rng: RngStream, df: int, p: int) -> np.ndarray:
     """Lower-triangular A with A @ A.T ~ Wishart(df, I_p), for df >= p.
 
     Bartlett decomposition: sqrt(chi2(df - i)) on the diagonal (i = 0..p-1)
@@ -273,4 +261,4 @@ def bartlett_factor(rng: RngStream, df: int, p: int) -> SpdFactor:
     lower = np.zeros((p, p))
     lower[np.diag_indices(p)] = np.sqrt(rng.chisquare(df - np.arange(p)))
     lower[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
-    return SpdFactor(lower=lower)
+    return lower

@@ -158,7 +158,7 @@ def _draw_stats(rng: RngStream, n: int, lower, theta) -> SufficientStats:
         x = rng.standard_normal((n, p)) @ lower.T
         gram, cross = x.T @ x, x.T @ (x @ theta + rng.standard_normal(n))
     else:
-        a = lower @ bartlett_factor(rng, n, p).lower
+        a = lower @ bartlett_factor(rng, n, p)
         gram = a @ a.T
         cross = gram @ theta + a @ rng.standard_normal(p)
     return SufficientStats(sigma=gram / n, m=cross / n, n=n)
@@ -175,7 +175,7 @@ def draw_rep_stats(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
     sub = _with_response(x_sub, theta_r, rng, "subsample")
     st_sub = compute_stats(sub)
     ar_factor = cholesky(ar1_covariance(cfg.p, cfg.rho_f))
-    st_f = _draw_stats(rng, cfg.n_f, ar_factor.lower, theta_f)
+    st_f = _draw_stats(rng, cfg.n_f, ar_factor, theta_f)
     df = cfg.n_r - cfg.n_sub
     if df == 0:
         return st_sub, st_sub, st_f, sub
@@ -358,11 +358,7 @@ def write_records(records, path, include_timing: bool = False) -> None:
     """
 
     def fmt(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        return format(value, ".17g")
+        return "" if value is None else format(value, ".17g")
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("rep,method,error,covered,sd_hat,millis\n")

@@ -19,14 +19,14 @@ from ulskit.numerics import _lower_solve, bartlett_factor, max_eigenvalue
 
 def test_cholesky_identity():
     f = cholesky(np.eye(3))
-    assert_allclose(f.lower, np.eye(3))
+    assert_allclose(f, np.eye(3))
 
 
 def test_cholesky_reconstruction():
     a = np.array([[4.0, 2.0], [2.0, 3.0]])
     f = cholesky(a)
-    assert_allclose(f.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-    assert_allclose(f.lower @ f.lower.T, a, rtol=1e-14)
+    assert_allclose(f, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
+    assert_allclose(f @ f.T, a, rtol=1e-14)
 
 
 def test_cholesky_indefinite():
@@ -120,7 +120,7 @@ def test_forward_substitution_componentwise_residual(seed):
     # itself (np.linalg.solve(L, b)) pivots here and fills in the zeros of
     # L^-1 above the diagonal: residual 1 for b = I.
     gram = _collinear_scaled_gram(seed)
-    lower = cholesky(gram).lower
+    lower = cholesky(gram)
     p = gram.shape[0]
     for b in (np.eye(p), gram):
         y = _lower_solve(lower, b)
@@ -135,7 +135,7 @@ def test_spd_solve_componentwise_residual(seed):
     b = gram @ RngStream(seed, 1).standard_normal((gram.shape[0], 3))
     x = spd_solve(f, b)
     bound = 2 * gram.shape[0] * np.finfo(float).eps
-    assert _componentwise_residual([f.lower, f.lower.T], x, b) <= bound
+    assert _componentwise_residual([f, f.T], x, b) <= bound
 
 
 def test_ar1_scalar():
@@ -216,7 +216,7 @@ def test_bartlett_factor_moments():
     w = np.empty((draws, p, p))
     s = np.empty((draws, p))
     for k in range(draws):
-        a = bartlett_factor(rng, df, p).lower
+        a = bartlett_factor(rng, df, p)
         assert np.array_equal(a, np.tril(a)) and np.all(np.diag(a) > 0)
         w[k] = a @ a.T
         s[k] = a @ rng.standard_normal(p)
@@ -231,6 +231,6 @@ def test_bartlett_factor_moments():
 
 
 def test_bartlett_factor_needs_df_at_least_p():
-    assert bartlett_factor(RngStream(0, 0), 3, 3).dim == 3
+    assert bartlett_factor(RngStream(0, 0), 3, 3).shape[0] == 3
     with pytest.raises(ValueError):
         bartlett_factor(RngStream(0, 0), 2, 3)

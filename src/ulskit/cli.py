@@ -39,6 +39,7 @@ from .simulation import (
     PRESETS,
     SimConfig,
     _pool_map,
+    check_methods,
     method_theta,
     mpe,
     pooled_problem,
@@ -179,6 +180,9 @@ def _cmd_bench(args) -> int:
     threads = _threads(args)
     if not 0.0 < args.ratio <= 1.0:
         raise ValueError(f"--ratio must lie in (0, 1], got {args.ratio}")
+    # the retrained oracle rides along by default; an explicit list is final
+    default = ("retrain", "pretrain", "ols", "uls")
+    methods = check_methods(args.methods.split(",") if args.methods else default)
     remaining = load_csv(args.remaining, role="remaining")
     forget = load_csv(args.forget, role="forget", expected_p=remaining.p)
     test = load_csv(args.test, role="test", expected_p=remaining.p)
@@ -188,11 +192,6 @@ def _cmd_bench(args) -> int:
     st_r = compute_stats(remaining)
     pb = pooled_problem(st_r, compute_stats(sub), forget_stats(forget, sub.p), sub)
 
-    # the retrained oracle rides along by default; an explicit list is final
-    if args.methods:
-        methods = args.methods.split(",")
-    else:
-        methods = ["retrain", "pretrain", "ols", "uls"]
     spec = None  # the grid flags matter, and are checked, only for tuned methods
     if any(name in SOLVERS and SOLVERS[name].tuned for name in methods):
         spec = cv_spec(args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size)

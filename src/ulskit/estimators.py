@@ -72,6 +72,7 @@ from .numerics import (
     finite_solution,
     max_eigenvalue,
     pencil_eigh,
+    safe_norm,
     spd_solve,
 )
 
@@ -220,13 +221,9 @@ def _require_squared(pb: Problem, name: str) -> None:
 
 
 def _result(method: str, theta, grad, lam=None) -> EstimateResult:
-    """A fit certified by the norm of its objective gradient at theta, rescaled
-    where its squares overflow; a norm that is not finite is a ValueError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(grad))
-        if not math.isfinite(norm):
-            top = np.max(np.abs(grad))
-            norm = float(top * np.linalg.norm(grad / top))
+    """A fit certified by the norm of its objective gradient at theta; a norm
+    that overflows is a ValueError."""
+    norm = safe_norm(grad)
     if not math.isfinite(norm):
         raise ValueError("the fit's gradient certificate overflows (lam too large?)")
     return EstimateResult(
@@ -265,7 +262,7 @@ def _retain_grad(pb: Problem, theta) -> np.ndarray:
 
 
 def _uls_plus_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
-    _require_squared(pb, "uls_plus")
+    _require_squared(pb, "uls+")
     if np.any(lams < 0.0):
         raise ValueError(f"lam must be >= 0, got {lams.min():g}")
     om_f, om_r, st_sub, st_f = pb.model.omega_f, pb.model.omega_r, pb.st_sub, pb.st_f
@@ -384,6 +381,7 @@ def _graddiff_grad(pb: Problem, theta, lam) -> np.ndarray:
 
 
 def _transfer_ridge_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
+    _require_squared(pb, "tl")
     if np.any(lams <= 0.0):
         raise ValueError(f"lam must be > 0, got {lams.min():g}")
     sigma, m_sub, theta_p = pb.st_sub.sigma, pb.st_sub.m[:, None], pb.theta_p[:, None]
@@ -581,7 +579,7 @@ def gd_unlearn(
         )
     _check_dims(model, forget, sub)
     theta_p = model.theta_p
-    scale = 1.0 + float(np.linalg.norm(theta_p))
+    scale = 1.0 + safe_norm(theta_p)
     if f.loss_id == "squared":
         forget, sub = _stats(forget, model.p), _stats(sub, model.p)
         hess, c = 2.0 * model.n_remaining * sub.sigma, -loss_grad(f, theta_p, forget)
@@ -600,11 +598,11 @@ def gd_unlearn(
     tol = cfg.grad_tol * scale
     for t in range(cfg.t_max + 1):
         g = objective_grad(theta)
-        residual = float(np.linalg.norm(g))
+        residual = safe_norm(g)
         if residual <= tol or t == cfg.t_max:
             break
         theta = theta - alpha * g
-        if np.linalg.norm(theta) > _DIVERGE_FACTOR * scale:
+        if safe_norm(theta) > _DIVERGE_FACTOR * scale:
             raise Diverged(
                 f"iterate norm exceeded {_DIVERGE_FACTOR:g} * (1 + ||theta_p||);"
                 " reduce the step size"

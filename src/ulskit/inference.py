@@ -179,8 +179,9 @@ def variance_uls(terms: NoiseTerms, n_r: int, n_sub: int) -> float:
     if n_sub > n_r:
         raise ValueError(f"n_sub={n_sub} cannot exceed n_r={n_r}")
     a, b = terms.a, terms.b
-    first = np.sum((a + ((n_sub - n_r) / n_sub) * b) ** 2) / n_r**2
-    second = (n_r - n_sub) / (n_r**2 * n_sub) * np.sum((a + b) ** 2)
+    with np.errstate(over="ignore"):  # an interval names an overflow (SingularGram)
+        first = np.sum((a + ((n_sub - n_r) / n_sub) * b) ** 2) / n_r**2
+        second = (n_r - n_sub) / (n_r**2 * n_sub) * np.sum((a + b) ** 2)
     return float(first + second)
 
 
@@ -217,7 +218,8 @@ def ols_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
             f"classical interval needs n > p, got n={sub.n}, p={sub.p}"
         )
     resid = sub.y - sub.x @ theta
-    s2 = float(resid @ resid) / (sub.n - sub.p)
+    with np.errstate(over="ignore"):  # InferenceReport names an overflow
+        s2 = float(resid @ resid) / (sub.n - sub.p)
     # v'(X'X)^{-1} v = v' sigma^{-1} v / n
     quad = float(v @ spd_solve(pb.sub_factor, v)) / sub.n
     return _report(v, theta, s2 * quad, alpha, "ols")

@@ -46,6 +46,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def safe_norm(v) -> float:
+    """Euclidean norm of v, rescaled by its largest entry where the squares
+    overflow, so it is inf only where the norm itself is; where the plain
+    norm is finite, it is that norm's bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(v))
+        if not np.isfinite(norm):
+            top = np.max(np.abs(v))
+            norm = float(top * np.linalg.norm(v / top))
+    return norm
+
+
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L @ L.T = a, a symmetric positive-definite matrix.
 

@@ -45,6 +45,7 @@ from .numerics import (
     bartlett_factor,
     blas_single_threaded,
     cholesky,
+    safe_norm,
     sample_gaussian,
 )
 from .tuning import CV_FOLDS, CV_GRID_HI, CV_GRID_LO, CV_GRID_SIZE, cv_select, cv_spec
@@ -54,6 +55,18 @@ from .tuning import CV_FOLDS, CV_GRID_HI, CV_GRID_LO, CV_GRID_SIZE, cv_select, c
 METHODS = ("retrain", "pretrain", *SOLVERS)
 
 PRESETS = {"table1": {}}  # SimConfig's defaults are the paper's Table 1 sizes
+
+
+def check_methods(names) -> tuple[str, ...]:
+    """``names`` as a tuple, each one of :data:`METHODS` and named once."""
+    names = tuple(names)
+    for name in names:
+        if name not in METHODS:
+            raise ValueError(f"unknown method {name!r}; expected {METHODS}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"method named more than once: {', '.join(repeated)}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -87,11 +100,7 @@ class SimConfig:
             raise ValueError("delta must be >= 0")
         if not 1 <= self.v_direction <= self.p:
             raise ValueError("v_direction must index a coordinate (1-based)")
-        methods = tuple(self.methods)
-        for name in methods:
-            if name not in METHODS:
-                raise ValueError(f"unknown method {name!r}; expected {METHODS}")
-        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "methods", check_methods(self.methods))
 
     @property
     def n_sub(self) -> int:
@@ -187,7 +196,8 @@ def mpe(theta, test: Dataset) -> float:
     if test.n == 0:
         raise EmptyDataset("cannot score predictions on an empty test set")
     r = test.y - test.x @ np.asarray(theta, dtype=np.float64)
-    return float(r @ r) / test.n
+    with np.errstate(over="ignore"):  # an error beyond the double range is inf
+        return float(r @ r) / test.n
 
 
 def _oracle_lambdas(cfg: SimConfig) -> dict:
@@ -236,9 +246,7 @@ def method_theta(name: str, pb: Problem, st_r, pick_lambda) -> np.ndarray:
         return ols_theta(st_r)
     if name == "pretrain":
         return pb.theta_p
-    solver = SOLVERS.get(name)
-    if solver is None:
-        raise ValueError(f"unknown method {name!r}; expected {METHODS}")
+    solver = SOLVERS[name]
     return solver.fit(pb, pick_lambda(name) if solver.tuned else None).theta
 
 
@@ -268,7 +276,7 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
         sd_hat = None
         try:
             theta = method_theta(name, pb, st_r, pick_lambda)
-            error = float(np.linalg.norm(theta - theta_r))
+            error = safe_norm(theta - theta_r)
             if name in INTERVALS:
                 report = INTERVALS[name](pb, theta, v, cfg.alpha)
                 covered = report.ci_lo <= truth <= report.ci_hi

@@ -31,7 +31,7 @@ import numpy as np
 from .data_model import Dataset, SufficientStats
 from .errors import InsufficientData, NoFeasibleLambda
 from .estimators import SOLVERS, Problem, graddiff_feasible, ols_theta
-from .numerics import RngStream
+from .numerics import RngStream, safe_norm
 
 CV_METHODS = tuple(name for name, solver in SOLVERS.items() if solver.tuned)
 
@@ -51,7 +51,7 @@ def plugin_lambda(pb: Problem) -> float:
     if pb.st_f.n == 0:
         return 0.0
     theta_sub = SOLVERS["ols"].fit(pb).theta  # reuses the subsample factor
-    delta_hat = float(np.linalg.norm(theta_sub - ols_theta(pb.st_f)))
+    delta_hat = safe_norm(theta_sub - ols_theta(pb.st_f))
     return pb.model.omega_r * pb.model.omega_f * delta_hat
 
 
@@ -90,20 +90,24 @@ def cv_spec(folds: int, lo: float, hi: float, size: int) -> CvSpec:
 
 
 def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
-    """Statistics of the rows idx, plus their mean squared response for scoring."""
+    """Statistics of the rows idx, plus their mean squared response for scoring
+    (inf where it overflows)."""
     x, y = d.x[idx], d.y[idx]
     n = len(idx)
-    return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # SufficientStats names X'X, X'y
+        return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
 
 
 def _heldout_mse(thetas: np.ndarray, fold: SufficientStats, yy: float) -> np.ndarray:
     """Held-out MSE of each column of thetas, from the fold's statistics.
 
     einsum rather than BLAS: BLAS kernels treat edge columns differently, and
-    equal columns must score bit-equal so that exact ties stay ties.
+    equal columns must score bit-equal so that exact ties stay ties. A score
+    that overflows is not finite, and :func:`cv_select` takes it as inf.
     """
-    quad = np.einsum("ik,ik->k", thetas, np.einsum("ij,jk->ik", fold.sigma, thetas))
-    return yy - 2.0 * np.einsum("i,ik->k", fold.m, thetas) + quad
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = np.einsum("ik,ik->k", thetas, np.einsum("ij,jk->ik", fold.sigma, thetas))
+        return yy - 2.0 * np.einsum("i,ik->k", fold.m, thetas) + quad
 
 
 def cv_select(
@@ -118,8 +122,9 @@ def cv_select(
     ``st_sub``; nothing is prepared again, and the solver's path fits every
     lambda of the grid on it at once. Returns ``(lam, cv_table)`` where
     the table rows are ``(lam, fold_index, mse)`` for audit. Raises
-    :class:`NoFeasibleLambda` when every candidate is infeasible and
-    :class:`InsufficientData` when the subsample cannot support the folds.
+    :class:`NoFeasibleLambda` when every candidate is infeasible,
+    :class:`InsufficientData` when the subsample cannot support the folds,
+    and ValueError when the held-out MSE of every feasible one overflows.
     """
     if method not in CV_METHODS:
         raise ValueError(f"unknown CV method {method!r}; expected {CV_METHODS}")
@@ -143,10 +148,13 @@ def cv_select(
         held, yy = _fold_stats(sub, idx)
         thetas = path(replace(pb, st_sub=pb.st_sub - held, sub=None), grid)
         alive &= ~np.isnan(thetas).any(axis=0)
-        scores[j] = np.where(alive, _heldout_mse(thetas, held, yy), math.inf)
+        mse = _heldout_mse(thetas, held, yy)
+        scores[j] = np.where(alive & np.isfinite(mse), mse, math.inf)
     means = scores.mean(axis=0)
 
     best = means.min()
+    if math.isinf(best) and alive.any():
+        raise ValueError(f"{method}: the held-out MSE overflows at every feasible lambda")
     if math.isinf(best):
         raise NoFeasibleLambda("every grid lambda failed the definiteness check")
     # ties break toward the larger lambda

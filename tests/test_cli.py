@@ -1022,3 +1022,207 @@ def test_malformed_csv_exit_code(p3_example, role, case, capsys):
     assert len(lines) == 1, lines
     assert lines[0].startswith(("ParseError: ", "SchemaMismatch: ")), lines
     assert not out.exists()
+
+
+def _uls_process(*args):
+    """``uls args`` in a separate process, so stderr holds whatever numpy prints."""
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ulskit.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
+@pytest.fixture
+def huge_responses(tmp_path):
+    """A p = 2 model whose responses are of order 1e160: its moments are
+    finite, but squares of responses and of theta_p (about 9e158) overflow."""
+    rng = RngStream(5, 0)
+
+    def rows(n, theta):
+        x = rng.standard_normal((n, 2))
+        return x, 1e160 * (x @ np.array(theta) + rng.standard_normal(n))
+
+    xr, yr = rows(400, [0.5, -0.3])
+    xf, yf = rows(40, [2.0, 1.0])
+    xt, yt = rows(100, [0.5, -0.3])
+    paths = {name: tmp_path / f"{name}.csv"
+             for name in ("full", "forget", "sub", "remaining", "test")}
+    _write_csv(paths["full"], np.vstack([xr, xf]), np.concatenate([yr, yf]))
+    _write_csv(paths["forget"], xf, yf)
+    _write_csv(paths["sub"], xr[:150], yr[:150])
+    _write_csv(paths["remaining"], xr, yr)
+    _write_csv(paths["test"], xt, yt)
+    paths["model"] = tmp_path / "model.json"
+    assert main(["pretrain", str(paths["full"]), "--n-forget", "40",
+                 "--out", str(paths["model"])]) == 0
+    return paths, tmp_path
+
+
+def test_gd_converges_where_the_norm_squares_overflow(huge_responses):
+    # 1 + ||theta_p|| overflows as a plain norm, which made GD's tolerance inf
+    paths, tmp = huge_responses
+    fits = {}
+    for method in ("gd", "uls"):
+        out = tmp / f"{method}.json"
+        proc = _uls_process("unlearn", "--model", paths["model"],
+                            "--forget", paths["forget"], "--sub", paths["sub"],
+                            "--method", method, "--out", out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        fits[method] = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert fits["gd"]["iterations"] > 0
+    # in units of 1e159, so that the test's own norms do not overflow
+    theta_p = np.array(load_model(paths["model"]).theta_p) / 1e159
+    gap = (np.array(fits["gd"]["theta"]) - np.array(fits["uls"]["theta"])) / 1e159
+    assert np.linalg.norm(gap) <= 1e-8 * np.linalg.norm(theta_p)
+
+
+def test_simulate_overflowing_shift_is_strict_json(tmp_path):
+    records, summary = tmp_path / "records.csv", tmp_path / "summary.json"
+    proc = _uls_process("simulate", "--nr", 200, "--nf", 20, "--p", 3, "--reps", 2,
+                        "--delta", "1e160", "--methods", "retrain,pretrain,ols",
+                        "--records", records, "--summary", summary)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    methods = json.loads(summary.read_text(), parse_constant=_reject_constant)["methods"]
+    assert all(agg["n_ok"] == 2 for agg in methods.values())
+    assert 1e158 < methods["pretrain"]["mean_error"] < 1e160
+    errors = [float(line.split(",")[2]) for line in records.read_text().splitlines()[1:]]
+    assert len(errors) == 6 and all(math.isfinite(e) for e in errors)
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["unlearn", "--method", "uls+"], 2, "ValueError: uls+: the held-out MSE overflows"),
+    (["unlearn", "--method", "graddiff"], 2,
+     "ValueError: graddiff: the held-out MSE overflows"),
+    (["unlearn", "--method", "tl"], 2, "ValueError: tl: the held-out MSE overflows"),
+    (["bench", "--methods", "retrain,tl"], 2,
+     "ValueError: tl: the held-out MSE overflows"),
+    (["simulate", "--methods", "retrain,uls+"], 2,
+     "ValueError: uls+: the held-out MSE overflows"),
+    (["infer", "--method", "uls"], 3, "SingularGram: interval variance is not finite"),
+    (["infer", "--method", "ols"], 3, "SingularGram: interval variance is not finite"),
+], ids=["cv-uls+", "cv-graddiff", "cv-tl", "bench", "simulate", "infer-uls", "infer-ols"])
+def test_overflowing_squares_print_only_the_named_error(huge_responses, argv, code, named):
+    paths, tmp = huge_responses
+    out = tmp / "out"
+    command, rest = argv[0], argv[1:]
+    files = {
+        "unlearn": ["--model", paths["model"], "--forget", paths["forget"],
+                    "--sub", paths["sub"], "--out", out],
+        "bench": ["--remaining", paths["remaining"], "--forget", paths["forget"],
+                  "--test", paths["test"], "--out", out],
+        "simulate": ["--nr", 200, "--nf", 20, "--p", 3, "--reps", 2, "--delta", "1e160",
+                     "--records", out, "--summary", tmp / "summary.json"],
+        "infer": ["--model", paths["model"], "--forget", paths["forget"],
+                  "--sub", paths["sub"], "--coord", 1, "--out", out],
+    }[command]
+    proc = _uls_process(command, *rest, *files)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(named), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["uls", "uls+", "graddiff", "tl"])
+def test_squared_loss_methods_refuse_a_logistic_model(tmp_path, method, capsys):
+    _, remaining, forget = logistic_instance(3, n_r=600, n_f=60, p=4)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("full", "forget", "sub")}
+    _write_csv(paths["full"], np.vstack([remaining.x, forget.x]),
+               np.concatenate([remaining.y, forget.y]))
+    _write_csv(paths["forget"], forget.x, forget.y)
+    _write_csv(paths["sub"], remaining.x[:200], remaining.y[:200])
+    model, out = tmp_path / "model.json", tmp_path / "r.json"
+    assert main(["pretrain", str(paths["full"]), "--loss", "logistic",
+                 "--n-forget", "60", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["unlearn", "--model", str(model), "--forget", str(paths["forget"]),
+                 "--sub", str(paths["sub"]), "--method", method, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"ValueError: {method} requires a squared-loss pretrained model"]
+    assert not out.exists()
+
+
+def test_repeated_method_names_are_rejected(tmp_path, capsys):
+    records, out = tmp_path / "records.csv", tmp_path / "mpe.csv"
+    assert main(["simulate", "--nr", "200", "--nf", "20", "--p", "3", "--reps", "2",
+                 "--methods", "uls,ols,uls", "--records", str(records),
+                 "--summary", str(tmp_path / "summary.json")]) == 2
+    # bench rules on its methods before it reads a file, here a missing one
+    assert main(["bench", "--remaining", str(tmp_path / "missing.csv"),
+                 "--forget", str(tmp_path / "missing.csv"),
+                 "--test", str(tmp_path / "missing.csv"),
+                 "--methods", "uls,uls", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["ValueError: method named more than once: uls"] * 2
+    assert not records.exists() and not out.exists()
+
+
+def test_failing_method_leaves_blank_cells(tmp_path):
+    # a 4-row subsample cannot identify p = 8 coefficients, so uls and ols
+    # raise SingularGram in every replication; the oracles do not need it
+    def run(tag, methods):
+        records, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        assert main(["simulate", "--nr", "200", "--nf", "20", "--p", "8",
+                     "--ratio", "0.02", "--reps", "3", "--methods", methods,
+                     "--records", str(records), "--summary", str(summary)]) == 0
+        rows = [line.split(",") for line in records.read_text().splitlines()[1:]]
+        return rows, json.loads(summary.read_text())["methods"]
+
+    rows, methods = run("mixed", "retrain,uls,pretrain,ols")
+    failed = [row for row in rows if row[1] in ("uls", "ols")]
+    assert len(failed) == 6 and all(row[2:] == ["", "", "", ""] for row in failed)
+    for name in ("uls", "ols"):
+        assert methods[name] == {"n_ok": 0, "n_failed": 3}
+    for name in ("retrain", "pretrain"):
+        assert (methods[name]["n_ok"], methods[name]["n_failed"]) == (3, 0)
+    oracles, alone = run("oracles", "retrain,pretrain")
+    assert [row for row in rows if row[1] in ("retrain", "pretrain")] == oracles
+    assert {name: methods[name] for name in alone} == alone
+
+
+def test_redraw_truth_draws_each_replication_its_own(tmp_path, monkeypatch):
+    import ulskit.simulation as simulation
+
+    drawn, draw_truth = [], simulation.draw_truth
+
+    def recording_draw_truth(cfg, rng):
+        theta_r, theta_f = draw_truth(cfg, rng)
+        drawn.append(theta_r)
+        return theta_r, theta_f
+
+    monkeypatch.setattr(simulation, "draw_truth", recording_draw_truth)
+    serial = _simulate(tmp_path, "s", ["--redraw-truth", "--threads", "1"])
+    # one truth for the experiment, then one for each of the 3 replications
+    assert len(drawn) == 4
+    assert len({tuple(theta) for theta in drawn}) == 4
+    assert serial == _simulate(tmp_path, "p", ["--redraw-truth", "--threads", "2"])
+    assert serial[0] != _simulate(tmp_path, "fixed", ["--threads", "1"])[0]
+
+
+def test_timing_fills_only_the_millis_cells(tmp_path, bench_files):
+    def cells(text):
+        return [line.split(",") for line in text.splitlines()]
+
+    plain_records, plain_summary = _simulate(tmp_path, "plain", ["--threads", "1"])
+    timed_records, timed_summary = _simulate(tmp_path, "timed", ["--timing"])
+    plain, timed = cells(plain_records.decode()), cells(timed_records.decode())
+    assert plain[0] == timed[0] and len(plain) == len(timed)
+    for a, b in zip(plain[1:], timed[1:]):
+        assert a[:-1] == b[:-1] and a[-1] == "" and float(b[-1]) >= 0.0
+    plain_methods = json.loads(plain_summary)["methods"]
+    timed_methods = json.loads(timed_summary)["methods"]
+    for name, agg in timed_methods.items():
+        assert agg.pop("mean_millis") >= 0.0
+    assert timed_methods == plain_methods
+
+    paths, tmp = bench_files
+    mpe = {}
+    for extra in ([], ["--timing"]):
+        out = tmp / f"mpe{len(extra)}.csv"
+        assert main(["bench", "--remaining", str(paths["remaining"]),
+                     "--forget", str(paths["forget"]), "--test", str(paths["test"]),
+                     "--methods", "retrain,uls,tl", *extra, "--out", str(out)]) == 0
+        mpe[len(extra)] = cells(out.read_text())
+    assert mpe[0][0] == mpe[1][0] == ["method", "mpe", "millis"]
+    for a, b in zip(mpe[0][1:], mpe[1][1:]):
+        assert a[:2] == b[:2] and a[2] == "" and float(b[2]) >= 0.0

@@ -12,6 +12,7 @@ own while a worker pool runs.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from contextlib import contextmanager
 
@@ -50,9 +51,10 @@ def safe_norm(v) -> float:
     """Euclidean norm of v, rescaled by its largest entry where the squares
     overflow, so it is inf only where the norm itself is; where the plain
     norm is finite, it is that norm's bits."""
+    v = np.asarray(v, dtype=np.float64).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(v))
-        if not np.isfinite(norm):
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's own sum, without its overhead
+        if not math.isfinite(norm):
             top = np.max(np.abs(v))
             norm = float(top * np.linalg.norm(v / top))
     return norm

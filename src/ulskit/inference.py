@@ -179,7 +179,7 @@ def variance_uls(terms: NoiseTerms, n_r: int, n_sub: int) -> float:
     if n_sub > n_r:
         raise ValueError(f"n_sub={n_sub} cannot exceed n_r={n_r}")
     a, b = terms.a, terms.b
-    with np.errstate(over="ignore"):  # an interval names an overflow (SingularGram)
+    with np.errstate(over="ignore"):  # InferenceReport names an overflow
         first = np.sum((a + ((n_sub - n_r) / n_sub) * b) ** 2) / n_r**2
         second = (n_r - n_sub) / (n_r**2 * n_sub) * np.sum((a + b) ** 2)
     return float(first + second)

@@ -94,7 +94,8 @@ def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
     (inf where it overflows)."""
     x, y = d.x[idx], d.y[idx]
     n = len(idx)
-    with np.errstate(over="ignore", invalid="ignore"):  # SufficientStats names X'X, X'y
+    # SufficientStats names an overflowing X'X or X'y
+    with np.errstate(over="ignore", invalid="ignore"):
         return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     EmptyDataset,
+    HeldOutOverflow,
     IndefiniteObjective,
     InsufficientData,
     NoFeasibleLambda,

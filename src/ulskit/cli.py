@@ -4,15 +4,14 @@ Subcommands: pretrain | unlearn | infer | simulate | bench. Exit codes are a
 stable contract: 0 on success, 2 on input/IO problems (missing files, parse
 or schema errors, bad flag values), 3 on numerical or method failures
 (singular Gram matrices, indefinite objectives, divergence, ...). Structured
-error names go to stderr. The ULS_THREADS environment variable overrides
---threads wherever a worker pool is used.
+error names go to stderr. simulate and bench run in the calling thread;
+their --threads is validated but does not change how a run executes.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 import warnings
@@ -33,12 +32,11 @@ from .errors import ParseError, SchemaMismatch, UlsError
 from .estimators import SOLVERS, GdConfig, forget_stats, prepare, pretrain
 from .inference import INTERVALS, ci_ols, ci_uls
 from .loss import get_loss
-from .numerics import RngStream
+from .numerics import RngStream, blas_single_threaded
 from .simulation import (
     METHODS,
     PRESETS,
     SimConfig,
-    _pool_map,
     check_methods,
     method_theta,
     mpe,
@@ -60,14 +58,14 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+THREADS_HELP = ("a non-negative integer, accepted for compatibility; the run"
+                " uses one worker whatever its value")
 
-def _threads(args) -> int | None:
-    """Pool size from ULS_THREADS, else --threads; None or 0 is the default."""
-    env = os.environ.get("ULS_THREADS")
-    name, raw = ("ULS_THREADS", env) if env else ("--threads", args.threads)
-    if raw is not None and not str(raw).isdecimal():
-        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
-    return None if raw is None else int(raw)
+
+def _check_threads(args) -> None:
+    """--threads is a non-negative integer; runs use one worker whatever it is."""
+    if args.threads is not None and args.threads < 0:
+        raise ValueError(f"--threads must be a non-negative integer, got {args.threads}")
 
 
 def _add_cv_flags(parser, with_defaults: bool = True) -> None:
@@ -169,7 +167,8 @@ def _cmd_simulate(args) -> int:
         given["methods"] = tuple(methods.split(","))
     cfg = SimConfig(**{**PRESETS.get(args.preset, {}), **given})
 
-    records, summary = run_experiment(cfg, threads=_threads(args))
+    _check_threads(args)
+    records, summary = run_experiment(cfg)
     write_records(records, args.records, include_timing=args.timing)
     save_json(summary.to_json_dict(args.timing), args.summary)
     print(f"wrote {args.records} and {args.summary} ({cfg.reps} replications)")
@@ -177,7 +176,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    threads = _threads(args)
+    _check_threads(args)
     if not 0.0 < args.ratio <= 1.0:
         raise ValueError(f"--ratio must lie in (0, 1], got {args.ratio}")
     # the retrained oracle rides along by default; an explicit list is final
@@ -196,8 +195,7 @@ def _cmd_bench(args) -> int:
     if any(name in SOLVERS and SOLVERS[name].tuned for name in methods):
         spec = cv_spec(args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size)
 
-    def run_one(idx_name):
-        idx, name = idx_name
+    def run_one(idx, name):
         cv_rng = RngStream(args.seed, 2 + idx)
 
         def pick_lambda(method):
@@ -211,7 +209,8 @@ def _cmd_bench(args) -> int:
         millis = (time.perf_counter() - start) * 1e3
         return name, value, millis, error
 
-    rows = _pool_map(run_one, enumerate(methods), threads)
+    with blas_single_threaded():  # as in simulate
+        rows = [run_one(idx, name) for idx, name in enumerate(methods)]
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,mpe,millis\n")
@@ -297,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the theory-guided lambda rules instead of CV")
     s.add_argument("--redraw-truth", action="store_true")
     _add_cv_flags(s, with_defaults=False)
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     s.add_argument("--timing", action="store_true", default=False,
                    help="fill the millis columns (breaks byte reproducibility)")
     s.add_argument("--records", required=True)
@@ -312,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--methods", default=None)
     _add_cv_flags(b)
-    b.add_argument("--threads", type=int, default=None)
+    b.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     b.add_argument("--timing", action="store_true")
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_bench)

@@ -58,5 +58,12 @@ class NoFeasibleLambda(UlsError):
     """Every candidate regularization weight was infeasible."""
 
 
+class HeldOutOverflow(UlsError, ValueError):
+    """Cross-validation's held-out error overflows at every feasible weight.
+
+    A ValueError too: ``unlearn`` reports it as bad input (exit 2), while
+    ``simulate`` and ``bench`` count it as that method's failure."""
+
+
 class DegenerateDirection(UlsError):
     """The inference direction vector is zero."""

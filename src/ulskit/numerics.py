@@ -4,9 +4,8 @@ Everything downstream funnels its SPD solves through :func:`cholesky` /
 :func:`spd_solve` so that near-singular Gram matrices surface as explicit
 errors instead of silently regularized answers, and draws its randomness
 through :class:`RngStream` so that identical (seed, stream_id) pairs replay
-bit-identical sequences regardless of thread schedule.
-:func:`blas_single_threaded` keeps numpy's BLAS from starting threads of its
-own while a worker pool runs.
+bit-identical sequences. :func:`blas_single_threaded` keeps numpy's BLAS
+from starting threads of its own while a simulation or bench runs.
 """
 
 from __future__ import annotations
@@ -184,9 +183,9 @@ def _openblas_thread_controls() -> list:
 def blas_single_threaded():
     """Run the block with OpenBLAS limited to one thread.
 
-    Worker threads that each call BLAS already keep the CPUs busy; a BLAS
-    that also starts its own threads makes them fight over the cores. The
-    previous counts are restored on exit. Where no OpenBLAS is found this
+    On the small matrices of a replication or a bench method, BLAS threads
+    mostly spin waiting for work, which costs CPU time and gains no speed.
+    The previous counts are restored on exit. Where no OpenBLAS is found this
     does nothing.
     """
     controls = _openblas_thread_controls()

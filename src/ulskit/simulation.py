@@ -15,17 +15,15 @@ That is exact in distribution and costs O(n_sub p + p^2) normals instead of
 O((n_r + n_f) p). :func:`generate_rep` still draws every row, for checks
 that need them.
 
-Every replication owns child random streams keyed by its index, so results
-are bit-identical regardless of worker count, and the truth vector is drawn
-once per experiment unless per-rep redraws are requested.
+Every replication owns child random streams keyed by its index, so its
+results do not depend on which replications ran before it, and the truth
+vector is drawn once per experiment unless per-rep redraws are requested.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from os import cpu_count
 
 import numpy as np
 
@@ -272,56 +270,37 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     records = []
     for name in cfg.methods:
         start = time.perf_counter()
-        covered = None
-        sd_hat = None
+        error = covered = sd_hat = None
         try:
             theta = method_theta(name, pb, st_r, pick_lambda)
-            error = safe_norm(theta - theta_r)
+            error = safe_norm(theta - theta_r)  # stands if only the interval fails
             if name in INTERVALS:
                 report = INTERVALS[name](pb, theta, v, cfg.alpha)
                 covered = report.ci_lo <= truth <= report.ci_hi
                 sd_hat = float(np.sqrt(report.variance))
         except UlsError:
-            error = None
+            pass
         millis = (time.perf_counter() - start) * 1e3
         records.append(RepRecord(rep, name, error, covered, sd_hat, millis))
     return records
 
 
-def run_experiment(cfg: SimConfig, threads: int | None = None):
-    """Run all replications; returns (records, summary).
+def run_experiment(cfg: SimConfig):
+    """Run all replications in order; returns (records, summary).
 
-    ``threads`` sizes the worker pool as in :func:`_pool_map`; the output is
-    byte-identical for every choice because each replication derives its
-    randomness from its own index.
+    BLAS runs single-threaded meanwhile: on a replication's small matrices
+    its own threads mostly spin.
     """
     truth_rng = RngStream(cfg.seed, 0)
     theta_r, theta_f = draw_truth(cfg, truth_rng)
     oracle = _oracle_lambdas(cfg)
-    per_rep = _pool_map(
-        lambda rep: _run_rep(cfg, rep, theta_r, theta_f, oracle),
-        range(cfg.reps),
-        threads,
-    )
-    records = [record for chunk in per_rep for record in chunk]
-    return records, summarize(cfg, records)
-
-
-def _pool_map(fn, items, threads: int | None) -> list:
-    """``[fn(item) for item in items]`` on ``threads`` pool workers, in order.
-
-    ``threads`` None or below 1 means the CPU count; one worker runs inline.
-    BLAS runs single-threaded meanwhile: the workers already fill the CPUs,
-    and on a replication's small matrices BLAS threads mostly spin.
-    """
-    items = list(items)
-    workers = threads if threads and threads > 0 else (cpu_count() or 1)
-    workers = min(workers, len(items))
     with blas_single_threaded():
-        if workers <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        records = [
+            record
+            for rep in range(cfg.reps)
+            for record in _run_rep(cfg, rep, theta_r, theta_f, oracle)
+        ]
+    return records, summarize(cfg, records)
 
 
 def summarize(cfg: SimConfig, records) -> SimSummary:
@@ -362,7 +341,7 @@ def write_records(records, path, include_timing: bool = False) -> None:
     """Records CSV with columns rep,method,error,covered,sd_hat,millis.
 
     Timing is filled only on request so that default outputs are
-    byte-reproducible across runs and worker counts.
+    byte-reproducible across runs.
     """
 
     def fmt(value) -> str:

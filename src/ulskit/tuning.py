@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_model import Dataset, SufficientStats
-from .errors import InsufficientData, NoFeasibleLambda
+from .errors import HeldOutOverflow, InsufficientData, NoFeasibleLambda
 from .estimators import SOLVERS, Problem, graddiff_feasible, ols_theta
 from .numerics import RngStream, safe_norm
 
@@ -125,7 +125,8 @@ def cv_select(
     the table rows are ``(lam, fold_index, mse)`` for audit. Raises
     :class:`NoFeasibleLambda` when every candidate is infeasible,
     :class:`InsufficientData` when the subsample cannot support the folds,
-    and ValueError when the held-out MSE of every feasible one overflows.
+    and :class:`HeldOutOverflow` when the held-out MSE of every feasible one
+    overflows.
     """
     if method not in CV_METHODS:
         raise ValueError(f"unknown CV method {method!r}; expected {CV_METHODS}")
@@ -155,7 +156,9 @@ def cv_select(
 
     best = means.min()
     if math.isinf(best) and alive.any():
-        raise ValueError(f"{method}: the held-out MSE overflows at every feasible lambda")
+        raise HeldOutOverflow(
+            f"{method}: the held-out MSE overflows at every feasible lambda"
+        )
     if math.isinf(best):
         raise NoFeasibleLambda("every grid lambda failed the definiteness check")
     # ties break toward the larger lambda

@@ -292,14 +292,6 @@ def test_simulate_thread_count_invariance(tmp_path):
     assert serial == pooled
 
 
-def test_simulate_env_var_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("ULS_THREADS", "2")
-    env = _simulate(tmp_path, "env", [])
-    monkeypatch.delenv("ULS_THREADS")
-    serial = _simulate(tmp_path, "ser", ["--threads", "1"])
-    assert env == serial
-
-
 def test_simulate_no_forget_makes_uls_equal_pretrain(tmp_path):
     records = tmp_path / "records.csv"
     summary = tmp_path / "summary.json"
@@ -336,7 +328,7 @@ class _Configured(Exception):
 
 
 def _simulate_config(monkeypatch, tmp_path, flags):
-    def stop(cfg, threads=None):
+    def stop(cfg):
         raise _Configured(cfg)
 
     monkeypatch.setattr("ulskit.cli.run_experiment", stop)
@@ -622,18 +614,6 @@ def test_bench_negative_threads_exit_code(bench_files, capsys):
     ])
     assert code == 2
     assert "--threads" in capsys.readouterr().err
-
-
-def test_non_integer_env_threads_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ULS_THREADS", "abc")
-    records, summary = tmp_path / "r.csv", tmp_path / "s.json"
-    code = main([
-        "simulate", "--nr", "300", "--nf", "30", "--p", "4", "--reps", "2",
-        "--records", str(records), "--summary", str(summary),
-    ])
-    assert code == 2
-    assert "ULS_THREADS" in capsys.readouterr().err
-    assert not records.exists()
 
 
 @pytest.mark.parametrize("payload", [
@@ -1090,15 +1070,15 @@ def test_simulate_overflowing_shift_is_strict_json(tmp_path):
     assert len(errors) == 6 and all(math.isfinite(e) for e in errors)
 
 
+# bench and simulate count a method's CV overflow as its failure and go on
 @pytest.mark.parametrize("argv, code, named", [
-    (["unlearn", "--method", "uls+"], 2, "ValueError: uls+: the held-out MSE overflows"),
+    (["unlearn", "--method", "uls+"], 2,
+     "HeldOutOverflow: uls+: the held-out MSE overflows"),
     (["unlearn", "--method", "graddiff"], 2,
-     "ValueError: graddiff: the held-out MSE overflows"),
-    (["unlearn", "--method", "tl"], 2, "ValueError: tl: the held-out MSE overflows"),
-    (["bench", "--methods", "retrain,tl"], 2,
-     "ValueError: tl: the held-out MSE overflows"),
-    (["simulate", "--methods", "retrain,uls+"], 2,
-     "ValueError: uls+: the held-out MSE overflows"),
+     "HeldOutOverflow: graddiff: the held-out MSE overflows"),
+    (["unlearn", "--method", "tl"], 2, "HeldOutOverflow: tl: the held-out MSE overflows"),
+    (["bench", "--methods", "retrain,tl"], 3, "HeldOutOverflow: tl: "),
+    (["simulate", "--methods", "retrain,uls+"], 0, None),
     (["infer", "--method", "uls"], 3, "SingularGram: interval variance is not finite"),
     (["infer", "--method", "ols"], 3, "SingularGram: interval variance is not finite"),
 ], ids=["cv-uls+", "cv-graddiff", "cv-tl", "bench", "simulate", "infer-uls", "infer-ols"])
@@ -1119,8 +1099,62 @@ def test_overflowing_squares_print_only_the_named_error(huge_responses, argv, co
     proc = _uls_process(command, *rest, *files)
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(named), lines
-    assert not out.exists()
+    if named is None:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(named), lines
+    assert out.exists() == (command in ("bench", "simulate"))
+
+
+def _simulate_overflowing_shift(tmp_path, methods):
+    """simulate at delta = 1e160 in its own process: (returncode, stderr,
+    record rows, summary methods)."""
+    records, summary = tmp_path / "records.csv", tmp_path / "summary.json"
+    proc = _uls_process("simulate", "--nr", 200, "--nf", 20, "--p", 3, "--reps", 2,
+                        "--delta", "1e160", "--methods", methods,
+                        "--records", records, "--summary", summary)
+    rows = [line.split(",") for line in records.read_text().splitlines()[1:]]
+    aggs = json.loads(summary.read_text(), parse_constant=_reject_constant)["methods"]
+    return proc.returncode, proc.stderr, rows, aggs
+
+
+def test_simulate_keeps_the_fit_error_when_only_its_interval_fails(tmp_path):
+    # uls fits, but its interval variance overflows (SingularGram)
+    code, err, rows, aggs = _simulate_overflowing_shift(tmp_path, "retrain,uls,ols")
+    assert (code, err) == (0, "")
+    uls_rows = [row for row in rows if row[1] == "uls"]
+    assert len(uls_rows) == 2
+    for _, _, error, covered, sd_hat, _ in uls_rows:
+        assert 1e157 < float(error) < 1e160 and covered == sd_hat == ""
+    assert (aggs["uls"]["n_ok"], aggs["uls"]["n_failed"]) == (2, 0)
+    assert "coverage" not in aggs["uls"] and "coverage" in aggs["ols"]
+
+
+def test_simulate_counts_a_cv_overflow_as_the_methods_failure(tmp_path):
+    methods = "retrain,uls+,tl,graddiff"
+    code, err, rows, aggs = _simulate_overflowing_shift(tmp_path, methods)
+    assert (code, err) == (0, "")
+    assert len(rows) == 8
+    assert (aggs["retrain"]["n_ok"], aggs["retrain"]["n_failed"]) == (2, 0)
+    for method in ("uls+", "tl", "graddiff"):
+        assert (aggs[method]["n_ok"], aggs[method]["n_failed"]) == (0, 2)
+
+
+def test_bench_counts_a_cv_overflow_as_the_methods_failure(huge_responses):
+    paths, tmp = huge_responses
+    out = tmp / "mpe.csv"
+    proc = _uls_process("bench", "--remaining", paths["remaining"],
+                        "--forget", paths["forget"], "--test", paths["test"],
+                        "--methods", "retrain,uls,uls+,graddiff,tl", "--out", out)
+    assert proc.returncode == 3
+    tuned = ("uls+", "graddiff", "tl")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3, lines
+    assert all(line.startswith(f"HeldOutOverflow: {m}: ") for line, m in zip(lines, tuned))
+    rows = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
+    assert list(rows) == ["retrain", "uls", *tuned]
+    assert all(math.isnan(float(rows[m])) for m in tuned)
+    assert not any(math.isnan(float(rows[m])) for m in ("retrain", "uls"))
 
 
 @pytest.mark.parametrize("method", ["uls", "uls+", "graddiff", "tl"])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,12 @@ from ulskit import (
     generate_rep,
     mpe,
     run_experiment,
+    save_csv,
     write_records,
 )
+from ulskit import cli, simulation
 from ulskit.numerics import _openblas_thread_controls, ar1_covariance
-from ulskit.simulation import SimConfig, _pool_map, _run_rep, draw_rep_stats
+from ulskit.simulation import SimConfig, _run_rep, draw_rep_stats
 
 
 def small_config(**overrides):
@@ -81,22 +84,6 @@ def test_full_ratio_subsample_is_permutation():
     assert_allclose(rows_as_multiset(sub), rows_as_multiset(remaining))
 
 
-def test_run_deterministic_across_thread_counts():
-    cfg = small_config(reps=6)
-    records_serial, summary_serial = run_experiment(cfg, threads=1)
-    records_pool, summary_pool = run_experiment(cfg, threads=4)
-    assert len(records_serial) == len(records_pool)
-    for a, b in zip(records_serial, records_pool):
-        assert (a.rep, a.method, a.error, a.covered, a.sd_hat) == (
-            b.rep,
-            b.method,
-            b.error,
-            b.covered,
-            b.sd_hat,
-        )
-    assert summary_serial.to_json_dict() == summary_pool.to_json_dict()
-
-
 def _simulate_tuned(tmp_path, tag, threads, openblas_threads):
     """Seeded `uls simulate` of the tuned methods in a fresh process."""
     env = dict(os.environ)
@@ -128,19 +115,42 @@ def test_tuned_simulation_bytes_ignore_thread_settings(tmp_path):
     assert len(set(outs.values())) == 1
 
 
-def test_pool_runs_blas_single_threaded_and_restores_it():
+def test_pool_runs_blas_single_threaded_and_restores_it(tmp_path, monkeypatch):
+    # replications and bench methods run in the calling thread, with BLAS at
+    # one thread while they run and its previous count back afterwards
     controls = _openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded")
+    seen = []
+
+    def watched(fn):
+        def call(*args, **kwargs):
+            seen.append(([get() for get, _ in controls], threading.active_count()))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(simulation, "_run_rep", watched(simulation._run_rep))
+    monkeypatch.setattr(cli, "method_theta", watched(cli.method_theta))
+    rng = RngStream(8, 0)
+    for name, n in (("remaining", 300), ("forget", 30), ("test", 50)):
+        x = rng.standard_normal((n, 3))
+        save_csv(Dataset(x, x @ np.ones(3) + rng.standard_normal(n), name),
+                 tmp_path / f"{name}.csv")
     before = [get() for get, _ in controls]
     try:
         for _, put in controls:
             put(2)
-        inside = _pool_map(lambda _: [get() for get, _ in controls], range(4), 2)
-        assert inside == [[1] * len(controls)] * 4
+        threads = threading.active_count()
+        run_experiment(small_config(reps=2, methods=("uls", "tl")))
         assert [get() for get, _ in controls] == [2] * len(controls)
-        run_experiment(small_config(reps=2, methods=("uls", "tl")), threads=2)
+        assert cli.main([
+            "bench", "--remaining", str(tmp_path / "remaining.csv"),
+            "--forget", str(tmp_path / "forget.csv"), "--test", str(tmp_path / "test.csv"),
+            "--ratio", "0.5", "--methods", "retrain,uls,tl", "--threads", "2",
+            "--out", str(tmp_path / "mpe.csv"),
+        ]) == 0
         assert [get() for get, _ in controls] == [2] * len(controls)
+        assert seen == [([1] * len(controls), threads)] * (2 + 3)
     finally:
         for (_, put), count in zip(controls, before):
             put(count)
@@ -148,14 +158,14 @@ def test_pool_runs_blas_single_threaded_and_restores_it():
 
 def test_retrain_beats_pretrain_under_shift():
     cfg = small_config(n_r=500, n_f=25, p=5, delta=3.0, reps=1, seed=9)
-    _, summary = run_experiment(cfg, threads=1)
+    _, summary = run_experiment(cfg)
     agg = summary.methods
     assert agg["retrain"]["mean_error"] < agg["pretrain"]["mean_error"]
 
 
 def test_exact_unlearn_identity_rep_by_rep():
     cfg = small_config(delta=0.0, subsample_ratio=1.0, reps=4, methods=("retrain", "uls"))
-    records, _ = run_experiment(cfg, threads=1)
+    records, _ = run_experiment(cfg)
     by_rep = {}
     for r in records:
         by_rep.setdefault(r.rep, {})[r.method] = r.error
@@ -165,7 +175,7 @@ def test_exact_unlearn_identity_rep_by_rep():
 
 def test_coverage_se_reported():
     cfg = small_config(reps=8, methods=("uls", "ols"))
-    _, summary = run_experiment(cfg, threads=2)
+    _, summary = run_experiment(cfg)
     for name in ("uls", "ols"):
         agg = summary.methods[name]
         c = agg["coverage"]
@@ -176,7 +186,7 @@ def test_coverage_se_reported():
 
 def test_gd_method_in_harness():
     cfg = small_config(reps=2, methods=("uls", "gd"))
-    records, _ = run_experiment(cfg, threads=1)
+    records, _ = run_experiment(cfg)
     by_rep = {}
     for r in records:
         by_rep.setdefault(r.rep, {})[r.method] = r.error
@@ -186,7 +196,7 @@ def test_gd_method_in_harness():
 
 def test_oracle_lambda_mode_runs():
     cfg = small_config(reps=2, methods=("uls+", "graddiff", "tl"), oracle_lambda=True)
-    records, summary = run_experiment(cfg, threads=1)
+    records, summary = run_experiment(cfg)
     assert all(r.error is not None for r in records)
     assert summary.methods["graddiff"]["n_failed"] == 0
 
@@ -207,7 +217,7 @@ def test_mpe_values():
 
 def test_records_csv_layout(tmp_path):
     cfg = small_config(reps=2, methods=("uls", "ols"))
-    records, _ = run_experiment(cfg, threads=1)
+    records, _ = run_experiment(cfg)
     path = tmp_path / "records.csv"
     write_records(records, path)
     lines = path.read_text().splitlines()

@@ -195,12 +195,12 @@ def _cmd_bench(args) -> int:
     if any(name in SOLVERS and SOLVERS[name].tuned for name in methods):
         spec = cv_spec(args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size)
 
-    def run_one(idx, name):
-        cv_rng = RngStream(args.seed, 2 + idx)
+    cv_rng = RngStream(args.seed, 2)  # shared, so every tuned method scores the same folds
 
-        def pick_lambda(method):
-            return cv_select(method, pb, spec, cv_rng)[0]
+    def pick_lambda(method):
+        return cv_select(method, pb, spec, cv_rng)[0]
 
+    def run_one(name):
         start = time.perf_counter()
         try:
             value, error = mpe(method_theta(name, pb, st_r, pick_lambda), test), None
@@ -210,7 +210,7 @@ def _cmd_bench(args) -> int:
         return name, value, millis, error
 
     with blas_single_threaded():  # as in simulate
-        rows = [run_one(idx, name) for idx, name in enumerate(methods)]
+        rows = [run_one(name) for name in methods]
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,mpe,millis\n")
@@ -219,7 +219,8 @@ def _cmd_bench(args) -> int:
             fh.write(f"{name},{value:.17g},{cell}\n")
     failed = [(name, error) for name, _, _, error in rows if error is not None]
     for name, error in failed:
-        print(f"{type(error).__name__}: {name}: {error}", file=sys.stderr)
+        prefix = "" if str(error).startswith(f"{name}: ") else f"{name}: "  # as cv_select's
+        print(f"{type(error).__name__}: {prefix}{error}", file=sys.stderr)
     print(f"wrote {args.out} ({len(rows)} methods)")
     return EXIT_NUMERIC if failed else EXIT_OK
 

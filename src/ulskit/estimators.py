@@ -45,7 +45,7 @@ lam, where a NaN column is an :class:`IndefiniteObjective`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -163,7 +163,8 @@ class Problem:
     so a squared-loss problem may have none (the simulation's). The
     subsample Cholesky factor, and GradDiff's pencil reduced through it, are
     computed on first use and then shared. They are lazy because the ridge
-    solver never needs them and must work when n_sub < p.
+    solver never needs them and must work when n_sub < p. ``folds`` keeps the
+    CV folds drawn on it by fold count and stream; ``replace`` drops them.
     """
 
     model: PretrainedModel | None
@@ -172,6 +173,7 @@ class Problem:
     sub: Dataset | None = None
     forget: Dataset | None = None
     gd: GdConfig = GdConfig()
+    folds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def theta_p(self) -> np.ndarray:

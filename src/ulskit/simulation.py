@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,11 @@ class SimConfig:
     def n_sub(self) -> int:
         return max(1, int(round(self.subsample_ratio * self.n_r)))
 
+    @cached_property
+    def ar_factor(self) -> np.ndarray:
+        """Factor of the forget design's AR(rho) covariance, once per experiment."""
+        return cholesky(ar1_covariance(self.p, self.rho_f))
+
 
 @dataclass(frozen=True)
 class RepRecord:
@@ -146,8 +152,7 @@ def generate_rep(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
     """One replication's (remaining, forget, subsample) datasets, row by row."""
     x_r = rng.standard_normal((cfg.n_r, cfg.p))
     remaining = _with_response(x_r, theta_r, rng, "remaining")
-    ar_factor = cholesky(ar1_covariance(cfg.p, cfg.rho_f))
-    x_f = sample_gaussian(rng, np.zeros(cfg.p), ar_factor, cfg.n_f)
+    x_f = sample_gaussian(rng, np.zeros(cfg.p), cfg.ar_factor, cfg.n_f)
     forget = _with_response(x_f, theta_f, rng, "forget")
     sub = subsample(remaining, cfg.n_sub, rng)
     return remaining, forget, sub
@@ -181,8 +186,7 @@ def draw_rep_stats(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
     x_sub = rng.standard_normal((cfg.n_sub, cfg.p))
     sub = _with_response(x_sub, theta_r, rng, "subsample")
     st_sub = compute_stats(sub)
-    ar_factor = cholesky(ar1_covariance(cfg.p, cfg.rho_f))
-    st_f = _draw_stats(rng, cfg.n_f, ar_factor, theta_f)
+    st_f = _draw_stats(rng, cfg.n_f, cfg.ar_factor, theta_f)
     df = cfg.n_r - cfg.n_sub
     if df == 0:
         return st_sub, st_sub, st_f, sub

@@ -3,11 +3,13 @@
 Both rules read an :class:`~ulskit.estimators.Problem`, so a tuned fit forms
 its Gram matrices once, in :func:`~ulskit.estimators.prepare`.
 :func:`cv_select` splits the problem's subsample rows into shuffled
-round-robin folds. On each training fold the solver's path gives the
-coefficients of every candidate lambda from one factorization (uls+) or one
-eigendecomposition (ridge, GradDiff; refined with its own residual, and
-solved by Cholesky where refinement cannot converge), and one vectorized
-expression scores them all by squared prediction error on the held-out fold.
+round-robin folds, drawn once per problem, fold count and random stream, so
+every method tuned with that stream scores the same folds. On each training
+fold the solver's path gives the coefficients of every candidate lambda from
+one factorization (uls+) or one eigendecomposition (ridge, GradDiff; refined
+with its own residual, and solved by Cholesky where refinement cannot
+converge), and one vectorized expression scores them all by squared
+prediction error on the held-out fold.
 Every tuned fit is a column of the same path, so the search scores exactly
 what the fit returns. Ties break toward the larger (more conservative)
 lambda.
@@ -99,6 +101,19 @@ def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
         return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
 
 
+def _folds(pb: Problem, k: int, rng: RngStream | None) -> list:
+    """The k folds of ``pb.sub`` drawn from ``rng`` (None: ``RngStream(0, 0)``)
+    as (training problem, held statistics, held mean squared response), drawn
+    once and kept on ``pb``; each training problem caches its own factor."""
+    key = (k, rng)
+    if key not in pb.folds:
+        perm = (RngStream(0, 0) if rng is None else rng).permutation(pb.sub.n)
+        held = [_fold_stats(pb.sub, np.sort(perm[j::k])) for j in range(k)]
+        pb.folds[key] = [(replace(pb, st_sub=pb.st_sub - st, sub=None), st, yy)
+                         for st, yy in held]
+    return pb.folds[key]
+
+
 def _heldout_mse(thetas: np.ndarray, fold: SufficientStats, yy: float) -> np.ndarray:
     """Held-out MSE of each column of thetas, from the fold's statistics.
 
@@ -121,7 +136,8 @@ def cv_select(
 
     Each fold problem is ``pb`` with the training-fold statistics as
     ``st_sub``; nothing is prepared again, and the solver's path fits every
-    lambda of the grid on it at once. Returns ``(lam, cv_table)`` where
+    lambda of the grid on it at once. The first search of ``pb`` with ``rng``
+    draws the folds, and later ones reuse them. Returns ``(lam, cv_table)`` where
     the table rows are ``(lam, fold_index, mse)`` for audit. Raises
     :class:`NoFeasibleLambda` when every candidate is infeasible,
     :class:`InsufficientData` when the subsample cannot support the folds,
@@ -130,8 +146,6 @@ def cv_select(
     """
     if method not in CV_METHODS:
         raise ValueError(f"unknown CV method {method!r}; expected {CV_METHODS}")
-    if rng is None:
-        rng = RngStream(0, 0)
     sub = pb.sub
     if sub.n < spec.folds * (sub.p + 1):
         raise InsufficientData(
@@ -140,15 +154,12 @@ def cv_select(
         )
     path = SOLVERS[method].path
     grid = np.array(spec.grid)
-    perm = rng.permutation(sub.n)  # shuffled round-robin folds
-    held_idx = [np.sort(perm[j::spec.folds]) for j in range(spec.folds)]
     alive = np.full(len(grid), True)
     if method == "graddiff":  # infeasible on the whole subsample: inf on every fold
         alive = graddiff_feasible(pb, grid)
     scores = np.empty((spec.folds, len(grid)))
-    for j, idx in enumerate(held_idx):
-        held, yy = _fold_stats(sub, idx)
-        thetas = path(replace(pb, st_sub=pb.st_sub - held, sub=None), grid)
+    for j, (train, held, yy) in enumerate(_folds(pb, spec.folds, rng)):
+        thetas = path(train, grid)
         alive &= ~np.isnan(thetas).any(axis=0)
         mse = _heldout_mse(thetas, held, yy)
         scores[j] = np.where(alive & np.isfinite(mse), mse, math.inf)

@@ -479,6 +479,38 @@ def test_bench_all_methods_thread_count_invariance(bench_files):
     assert len(outs[0].decode().splitlines()) == 9
 
 
+def test_simulate_tuned_records_do_not_depend_on_the_other_methods(tmp_path):
+    # every tuned method of a replication scores the same folds, so tl's
+    # records are those of a run where it is the only tuned method
+    def tl_records(methods):
+        records, summary = tmp_path / f"{methods}.csv", tmp_path / f"{methods}.json"
+        assert main(["simulate", "--nr", "2000", "--nf", "200", "--p", "20",
+                     "--ratio", "0.5", "--reps", "6", "--seed", "7",
+                     "--methods", methods, "--records", str(records),
+                     "--summary", str(summary)]) == 0
+        return [line for line in records.read_bytes().splitlines() if b",tl," in line]
+
+    alone = tl_records("uls,tl")
+    assert len(alone) == 6
+    assert tl_records("uls,uls+,graddiff,tl") == alone
+
+
+def test_bench_tuned_rows_do_not_depend_on_the_other_methods(bench_files):
+    # one CV stream for the run: a method's folds, and so its row, do not
+    # depend on which methods run before it
+    paths, tmp = bench_files
+
+    def rows(methods):
+        out = tmp / f"{methods}.csv"
+        assert main(["bench", "--remaining", str(paths["remaining"]),
+                     "--forget", str(paths["forget"]), "--test", str(paths["test"]),
+                     "--ratio", "0.3", "--seed", "5", "--methods", methods,
+                     "--out", str(out)]) == 0
+        return dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+
+    assert rows("uls+,graddiff,retrain,tl")["tl"] == rows("retrain,tl")["tl"]
+
+
 @pytest.fixture
 def p3_example(tmp_path):
     """A p = 3 squared-loss model with forget rows and a 60-row subsample."""
@@ -1151,6 +1183,7 @@ def test_bench_counts_a_cv_overflow_as_the_methods_failure(huge_responses):
     lines = proc.stderr.splitlines()
     assert len(lines) == 3, lines
     assert all(line.startswith(f"HeldOutOverflow: {m}: ") for line, m in zip(lines, tuned))
+    assert all(line.count(f"{m}: ") == 1 for line, m in zip(lines, tuned)), lines
     rows = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
     assert list(rows) == ["retrain", "uls", *tuned]
     assert all(math.isnan(float(rows[m])) for m in tuned)

@@ -1,8 +1,9 @@
 """The solver table forms and factors each subsample Gram once per problem,
 and tuning reads that problem instead of forming its Grams again.
 
-The counts are taken by replacing `cholesky` and `compute_stats` under every
-name a ulskit module binds them to, as `from .numerics import cholesky` does.
+The counts are taken by replacing `cholesky`, `compute_stats` and tuning's
+`_fold_stats` under every name a ulskit module binds them to, as
+`from .numerics import cholesky` does.
 """
 
 import sys
@@ -23,12 +24,13 @@ from ulskit import (
     save_csv,
     save_model,
     transfer_ridge,
+    tuning,
     uls,
 )
 from ulskit.cli import main
 from ulskit.estimators import SOLVERS, graddiff_threshold
-from ulskit.simulation import SimConfig, _run_rep, draw_truth
-from ulskit.tuning import CvSpec, log_grid
+from ulskit.simulation import SimConfig, _run_rep, draw_truth, run_experiment
+from ulskit.tuning import CV_METHODS, CvSpec, log_grid
 
 
 @pytest.fixture
@@ -45,7 +47,7 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for fn in (numerics.cholesky, data_model.compute_stats):
+    for fn in (numerics.cholesky, data_model.compute_stats, tuning._fold_stats):
         wrapper = counting(fn)
         for name, mod in list(sys.modules.items()):
             if name.startswith("ulskit"):
@@ -107,10 +109,45 @@ def test_tuned_replication_forms_the_grams_once(calls):
     records = _run_rep(cfg, 0, theta_r, theta_f, {})
     assert all(r.error is not None for r in records)
     assert tally["compute_stats"] == 1
-    # the AR(rho) design factor, theta_p, the subsample factor (which also
-    # gives graddiff's pencil, read by its CV and its fit), one per uls+ and
-    # one per graddiff CV fold; the tl path and fit factor nothing
-    assert tally["cholesky"] == 13
+    # the three searches share the replication's 5 folds
+    assert tally["_fold_stats"] == 5
+    # the AR(rho) design factor (the config's first replication forms it),
+    # theta_p, the subsample factor (which also gives graddiff's pencil, read
+    # by its CV and its fit) and one per CV fold, shared by the uls+ path and
+    # graddiff's fold pencils; the tl path and fit factor nothing
+    assert tally["cholesky"] == 8
+
+
+def test_tuned_experiment_forms_the_ar_factor_once(calls):
+    cfg = SimConfig(n_r=400, n_f=40, p=5, subsample_ratio=0.5, reps=2,
+                    seed=4, methods=("uls", "uls+", "graddiff", "tl", "gd"))
+    tally, _ = calls
+    tally.clear()
+    records, _ = run_experiment(cfg)
+    assert all(r.error is not None for r in records)
+    # the AR factor once, then 7 a replication as above
+    assert tally["cholesky"] == 1 + 2 * 7
+    assert tally["_fold_stats"] == 2 * 5
+
+
+def test_cv_searches_on_one_problem_and_stream_share_their_folds(calls):
+    model, _, forget, sub = linear_instance(12, n_sub=150)
+    spec = CvSpec(folds=5, grid=tuple(log_grid(1e-3, 1e3, 8)))
+    pb = prepare(model, forget, sub)
+    pb.pencil  # graddiff's feasibility check reads the problem's own factor
+    tally, _ = calls
+    tally.clear()
+    rng = RngStream(9, 2)
+    shared = {method: cv_select(method, pb, spec, rng) for method in CV_METHODS}
+    assert tally["cholesky"] == 5 and tally["_fold_stats"] == 5
+    for method, result in shared.items():  # as if it were the only search
+        assert result == cv_select(method, prepare(model, forget, sub), spec,
+                                   RngStream(9, 2))
+    # another stream object draws its own folds, even with the same ids
+    tally.clear()
+    assert cv_select("tl", pb, spec, RngStream(9, 2)) == shared["tl"]
+    assert tally["_fold_stats"] == 5
+    assert cv_select("tl", pb, spec, RngStream(9, 3))[1] != shared["tl"][1]
 
 
 def test_graddiff_threshold_reuses_the_sub_factor(calls):

@@ -62,7 +62,7 @@ from .inference import (
     normal_quantile,
     variance_uls,
 )
-from .loss import LOGISTIC, SQUARED, LossFn, get_loss, loss_grad, loss_value
+from .loss import LOGISTIC, SQUARED, loss_grad, loss_value
 from .numerics import (
     RngStream,
     ar1_covariance,

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .data_model import (
+    LOSS_IDS,
     compute_stats,
     load_csv,
     load_model,
@@ -31,7 +32,6 @@ from .data_model import (
 from .errors import ParseError, SchemaMismatch, UlsError
 from .estimators import SOLVERS, GdConfig, forget_stats, prepare, pretrain
 from .inference import INTERVALS, ci_ols, ci_uls
-from .loss import get_loss
 from .numerics import RngStream, blas_single_threaded
 from .simulation import (
     METHODS,
@@ -42,6 +42,7 @@ from .simulation import (
     mpe,
     pooled_problem,
     run_experiment,
+    search_spec,
     write_records,
 )
 from .tuning import (
@@ -82,28 +83,31 @@ def _add_cv_flags(parser, with_defaults: bool = True) -> None:
 
 def _cmd_pretrain(args) -> int:
     full = load_csv(args.full_csv, role="remaining")
-    model = pretrain(get_loss(args.loss), full, n_forget=args.n_forget)
+    model = pretrain(args.loss, full, n_forget=args.n_forget)
     save_model(model, args.out)
     print(f"wrote {args.out} ({model.p} coefficients, loss={model.loss_id})")
     return EXIT_OK
 
 
 def _cmd_unlearn(args) -> int:
+    solver = SOLVERS[args.method]
+    searched = solver.tuned and args.lam is None and args.lam_rule == "cv"
+    if args.cv_table and not searched:
+        raise ValueError("--cv-table needs a CV search: a tuned --method, no --lam,"
+                         " and --lam-rule cv")
     model = load_model(args.model)
     forget = load_csv(args.forget, role="forget", expected_p=model.p)
     sub = load_csv(args.sub, role="subsample", expected_p=model.p)
-    solver = SOLVERS[args.method]
     cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
     pb = prepare(model, forget, sub, cfg)
 
-    cv_table = None
     if args.lam is not None:
         lam = args.lam
     elif args.lam_rule == "plugin":
         if args.method != "uls+":
             raise ValueError("--lam-rule plugin is only defined for --method uls+")
         lam = plugin_lambda(pb)
-    elif solver.tuned:
+    elif searched:
         rng = RngStream(args.cv_seed, 0)
         spec = cv_spec(
             args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size
@@ -115,7 +119,7 @@ def _cmd_unlearn(args) -> int:
     result = solver.fit(pb, lam)
 
     save_json(result.to_json_dict(), args.out)
-    if args.cv_table and cv_table is not None:
+    if args.cv_table:
         with open(args.cv_table, "w", encoding="utf-8") as fh:
             fh.write("lambda,fold,mse\n")
             for row_lam, fold, mse in cv_table:
@@ -191,9 +195,8 @@ def _cmd_bench(args) -> int:
     st_r = compute_stats(remaining)
     pb = pooled_problem(st_r, compute_stats(sub), forget_stats(forget, sub.p), sub)
 
-    spec = None  # the grid flags matter, and are checked, only for tuned methods
-    if any(name in SOLVERS and SOLVERS[name].tuned for name in methods):
-        spec = cv_spec(args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size)
+    spec = search_spec(methods, args.cv_folds, args.cv_grid_lo, args.cv_grid_hi,
+                       args.cv_grid_size)
 
     cv_rng = RngStream(args.seed, 2)  # shared, so every tuned method scores the same folds
 
@@ -236,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="fit the full-data model from a CSV")
     p.add_argument("full_csv")
-    p.add_argument("--loss", choices=["squared", "logistic"], default="squared")
+    p.add_argument("--loss", choices=LOSS_IDS, default="squared")
     p.add_argument("--n-forget", type=int, default=0,
                    help="how many of the rows belong to the forget set")
     p.add_argument("--out", required=True)

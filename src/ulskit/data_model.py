@@ -30,6 +30,12 @@ ROLES = ("remaining", "forget", "subsample", "test")
 LOSS_IDS = ("squared", "logistic")
 
 
+def check_loss(loss: str) -> None:
+    """A loss is one of the names of :data:`LOSS_IDS`."""
+    if loss not in LOSS_IDS:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_IDS}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rows of (covariate vector, response) with a role tag.
@@ -136,8 +142,7 @@ class PretrainedModel:
             raise ValueError("n_remaining must be >= 1 (forget fraction < 1)")
         if self.n_forget < 0:
             raise ValueError("n_forget must be >= 0")
-        if self.loss_id not in LOSS_IDS:
-            raise ValueError(f"unknown loss {self.loss_id!r}")
+        check_loss(self.loss_id)
         object.__setattr__(self, "theta_p", theta)
 
     @property

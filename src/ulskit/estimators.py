@@ -55,6 +55,7 @@ from .data_model import (
     Dataset,
     PretrainedModel,
     SufficientStats,
+    check_loss,
     compute_stats,
 )
 from .errors import (
@@ -65,7 +66,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularGram,
 )
-from .loss import LossFn, get_loss, loss_grad, loss_value
+from .loss import LOGISTIC, SQUARED, loss_grad, loss_value
 from .numerics import (
     PIVOT_FLOOR,
     cholesky,
@@ -218,7 +219,7 @@ def ols_theta(stats: SufficientStats) -> np.ndarray:
 
 
 def _require_squared(pb: Problem, name: str) -> None:
-    if pb.model.loss_id != "squared":
+    if pb.model.loss_id != SQUARED:
         raise ValueError(f"{name} requires a squared-loss pretrained model")
 
 
@@ -417,13 +418,12 @@ def _transfer_ridge_grad(pb: Problem, theta, lam) -> np.ndarray:
 
 
 def _gd(pb: Problem, lam=None) -> EstimateResult:
-    f = get_loss(pb.model.loss_id)
     cfg = pb.gd
     if cfg.alpha is None:
-        cfg = replace(cfg, alpha=_spectral_step(f, pb.model, pb.st_sub.sigma))
-    if f.loss_id == "squared":
-        return gd_unlearn(f, pb.model, pb.st_f, pb.st_sub, cfg)
-    return gd_unlearn(f, pb.model, pb.forget, pb.sub, cfg)
+        cfg = replace(cfg, alpha=default_step_size(pb.model, pb.st_sub))
+    if pb.model.loss_id == SQUARED:
+        return gd_unlearn(pb.model, pb.st_f, pb.st_sub, cfg)
+    return gd_unlearn(pb.model, pb.forget, pb.sub, cfg)
 
 
 class Solver(NamedTuple):
@@ -473,9 +473,9 @@ SOLVERS = {
 # Dataset-level estimators: prepare, solve through the table
 # ---------------------------------------------------------------------------
 
-def ols_fit(d: Dataset, method: str = "ols") -> EstimateResult:
+def ols_fit(d: Dataset) -> EstimateResult:
     """Ordinary least squares via the normal equations."""
-    return replace(SOLVERS["ols"].fit(prepare(None, None, d)), method=method)
+    return SOLVERS["ols"].fit(prepare(None, None, d))
 
 
 def uls(model: PretrainedModel, forget: Dataset, sub: Dataset) -> EstimateResult:
@@ -529,38 +529,29 @@ def transfer_ridge(
     return SOLVERS["tl"].fit(prepare(model, None, sub), lam)
 
 
-def default_step_size(
-    f: LossFn, model: PretrainedModel, sub: Dataset | SufficientStats
-) -> float:
+def default_step_size(model: PretrainedModel, sub: Dataset | SufficientStats) -> float:
     """Step size inside the convergent range for :func:`gd_unlearn`.
 
     The retain term's curvature is bounded by 2 Nr Lmax(sigma_sub) for the
     squared loss and by Nr Lmax(sigma_sub) / 4 for the logistic loss; the
-    returned step keeps the iteration map a strict contraction either way.
-    Lmax is computed exactly from the symmetric eigenvalues of sigma_sub,
-    which ``sub`` gives as rows or as their statistics.
+    step returned for ``model.loss_id`` keeps the iteration map a strict
+    contraction. Lmax is computed exactly from the symmetric eigenvalues of
+    sigma_sub, which ``sub`` gives as rows or as their statistics.
     """
-    return _spectral_step(f, model, _stats(sub, model.p).sigma)
-
-
-def _spectral_step(f: LossFn, model: PretrainedModel, sigma_sub) -> float:
-    lam_max = max_eigenvalue(sigma_sub)
+    lam_max = max_eigenvalue(_stats(sub, model.p).sigma)
     if lam_max <= 0.0:
         raise SingularGram("subsample Gram matrix has no positive spectrum")
-    if f.loss_id == "squared":
-        return 0.9 / (model.n_remaining * lam_max)
-    return 3.6 / (model.n_remaining * lam_max)
+    return (0.9 if model.loss_id == SQUARED else 3.6) / (model.n_remaining * lam_max)
 
 
 def gd_unlearn(
-    f: LossFn,
     model: PretrainedModel,
     forget: Dataset | SufficientStats,
     sub: Dataset | SufficientStats,
     cfg: GdConfig = GdConfig(),
     callback=None,
 ) -> EstimateResult:
-    """Generic-loss unlearning by gradient descent from the pretrained fit.
+    """Unlearning by gradient descent from the pretrained fit, under ``model.loss_id``.
 
     Starting at theta_p, iterates theta <- theta - alpha g(theta) with
 
@@ -575,26 +566,22 @@ def gd_unlearn(
     grad(theta; sub) minus a constant, it cancels two large terms and can
     stall above a tight tolerance. ``callback(t, theta)`` observes each iterate.
     """
-    if f.loss_id != model.loss_id:
-        raise ValueError(
-            f"loss {f.loss_id!r} does not match model loss {model.loss_id!r}"
-        )
     _check_dims(model, forget, sub)
-    theta_p = model.theta_p
+    loss, theta_p = model.loss_id, model.theta_p
     scale = 1.0 + safe_norm(theta_p)
-    if f.loss_id == "squared":
+    if loss == SQUARED:
         forget, sub = _stats(forget, model.p), _stats(sub, model.p)
-        hess, c = 2.0 * model.n_remaining * sub.sigma, -loss_grad(f, theta_p, forget)
+        hess, c = 2.0 * model.n_remaining * sub.sigma, -loss_grad(loss, theta_p, forget)
 
         def objective_grad(theta):
             return hess @ (theta - theta_p) + c
     else:
         ratio = model.n_remaining / sub.n
-        anchor = ratio * loss_grad(f, theta_p, sub) + loss_grad(f, theta_p, forget)
+        anchor = ratio * loss_grad(loss, theta_p, sub) + loss_grad(loss, theta_p, forget)
 
         def objective_grad(theta):
-            return ratio * loss_grad(f, theta, sub) - anchor
-    alpha = cfg.alpha if cfg.alpha is not None else default_step_size(f, model, sub)
+            return ratio * loss_grad(loss, theta, sub) - anchor
+    alpha = cfg.alpha if cfg.alpha is not None else default_step_size(model, sub)
 
     theta = theta_p.copy()
     tol = cfg.grad_tol * scale
@@ -620,43 +607,44 @@ def gd_unlearn(
 
 
 def pretrain(
-    f: LossFn, full: Dataset, n_forget: int = 0, t_max: int = 10_000
+    loss: str, full: Dataset, n_forget: int = 0, t_max: int = 10_000
 ) -> PretrainedModel:
-    """Fit the full-data model; the caller states how many rows are forget rows.
+    """Fit the full-data model under ``loss``; ``n_forget`` of its rows are forget rows.
 
     Squared loss solves the normal equations. Logistic loss runs gradient
     descent with Armijo backtracking until the gradient norm reaches
     1e-8 * n, raising :class:`NotConverged` at the iteration cap (which is
     what perfectly separable data produces).
     """
+    check_loss(loss)
     if not 0 <= n_forget < full.n:
         raise ValueError(f"n_forget={n_forget} must lie in [0, n={full.n})")
-    if f.loss_id == "squared":
+    if loss == SQUARED:
         theta = ols_fit(full).theta
     else:
-        theta = _fit_logistic(f, full, t_max)
+        theta = _fit_logistic(full, t_max)
     return PretrainedModel(
         theta_p=theta,
         n_total=full.n,
         n_remaining=full.n - n_forget,
         n_forget=n_forget,
-        loss_id=f.loss_id,
+        loss_id=loss,
     )
 
 
-def _fit_logistic(f: LossFn, d: Dataset, t_max: int) -> np.ndarray:
+def _fit_logistic(d: Dataset, t_max: int) -> np.ndarray:
     tol = 1e-8 * d.n
     theta = np.zeros(d.p)
-    value = loss_value(f, theta, d)
+    value = loss_value(LOGISTIC, theta, d)
     for _ in range(t_max):
-        g = loss_grad(f, theta, d)
+        g = loss_grad(LOGISTIC, theta, d)
         gnorm2 = float(g @ g)
         if np.sqrt(gnorm2) <= tol:
             return theta
         step = 1.0
         for _ in range(200):
             trial = theta - step * g
-            trial_value = loss_value(f, trial, d)
+            trial_value = loss_value(LOGISTIC, trial, d)
             if trial_value <= value - 1e-4 * step * gnorm2:
                 break
             step *= 0.5

@@ -170,12 +170,10 @@ def noise_terms(v, sub: Dataset, theta_uls, theta_p) -> NoiseTerms:
     return _noise_terms(v, sub, factor, theta_uls, theta_p)
 
 
-def variance_uls(terms: NoiseTerms, n_r: int, n_sub: int) -> float:
-    """Reweighted variance estimate for v'theta_uls; always >= 0."""
-    if terms.a.shape[0] != n_sub:
-        raise DimensionMismatch(
-            f"terms have length {terms.a.shape[0]}, expected n_sub={n_sub}"
-        )
+def variance_uls(terms: NoiseTerms, n_r: int) -> float:
+    """Reweighted variance estimate for v'theta_uls; always >= 0. The terms
+    hold one entry per subsample row, so their length is n_sub <= n_r."""
+    n_sub = terms.a.shape[0]
     if n_sub > n_r:
         raise ValueError(f"n_sub={n_sub} cannot exceed n_r={n_r}")
     a, b = terms.a, terms.b
@@ -204,7 +202,7 @@ def uls_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
     _check_alpha(alpha)
     v = _check_direction(v, pb.sub.p)
     terms = _noise_terms(v, pb.sub, pb.sub_factor, theta, pb.theta_p)
-    variance = variance_uls(terms, pb.model.n_remaining, pb.sub.n)
+    variance = variance_uls(terms, pb.model.n_remaining)
     return _report(v, theta, variance, alpha, "uls")
 
 

@@ -1,40 +1,26 @@
 """Differentiable losses: squared error and binary cross-entropy.
 
-Values and gradients are sums over the dataset's rows, not means. The squared
-loss carries no 1/2 factor, so its gradient is -2 X'(y - X theta); the
-factor of two cancels inside the closed-form unlearning algebra. In the
-dataset's statistics it is -2 n (m - sigma theta), which :func:`loss_grad`
-also takes; the logistic loss needs the rows.
+A loss is its name, ``SQUARED`` or ``LOGISTIC`` (``data_model.LOSS_IDS``); a
+model is unlearned under the loss it was pretrained with. Values and
+gradients are sums over the dataset's rows, not means. The squared loss
+carries no 1/2 factor, so its gradient is -2 X'(y - X theta); the factor of
+two cancels inside the closed-form unlearning algebra. In the dataset's
+statistics it is -2 n (m - sigma theta), which :func:`loss_grad` also takes;
+the logistic loss needs the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data_model import LOSS_IDS, Dataset, SufficientStats
+from .data_model import LOSS_IDS, Dataset, SufficientStats, check_loss
 from .errors import DimensionMismatch
 
-
-@dataclass(frozen=True)
-class LossFn:
-    loss_id: str
-
-    def __post_init__(self):
-        if self.loss_id not in LOSS_IDS:
-            raise ValueError(f"unknown loss {self.loss_id!r}; expected {LOSS_IDS}")
+SQUARED, LOGISTIC = LOSS_IDS
 
 
-SQUARED = LossFn("squared")
-LOGISTIC = LossFn("logistic")
-
-
-def get_loss(loss_id: str) -> LossFn:
-    return LossFn(loss_id)
-
-
-def _check_theta(theta, d: Dataset | SufficientStats) -> np.ndarray:
+def _check_args(loss: str, theta, d: Dataset | SufficientStats) -> np.ndarray:
+    check_loss(loss)
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (d.p,):
         raise DimensionMismatch(
@@ -58,13 +44,13 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-u))
 
 
-def loss_value(f: LossFn, theta, d: Dataset) -> float:
+def loss_value(loss: str, theta, d: Dataset) -> float:
     """Total loss of theta over the dataset (0 for an empty dataset)."""
-    theta = _check_theta(theta, d)
+    theta = _check_args(loss, theta, d)
     if d.n == 0:
         return 0.0
     u = d.x @ theta
-    if f.loss_id == "squared":
+    if loss == SQUARED:
         r = d.y - u
         return float(r @ r)
     _check_labels(d)
@@ -73,18 +59,18 @@ def loss_value(f: LossFn, theta, d: Dataset) -> float:
     return float(np.sum(d.y * np.logaddexp(0.0, -u) + (1.0 - d.y) * np.logaddexp(0.0, u)))
 
 
-def loss_grad(f: LossFn, theta, d: Dataset | SufficientStats) -> np.ndarray:
+def loss_grad(loss: str, theta, d: Dataset | SufficientStats) -> np.ndarray:
     """Gradient of :func:`loss_value` with respect to theta; the squared
     loss's also from a dataset's statistics."""
-    theta = _check_theta(theta, d)
+    theta = _check_args(loss, theta, d)
     if isinstance(d, SufficientStats):
-        if f.loss_id != "squared":
-            raise ValueError(f"the {f.loss_id} loss needs the rows, not statistics")
+        if loss != SQUARED:
+            raise ValueError(f"the {loss} loss needs the rows, not statistics")
         return -2.0 * d.n * (d.m - d.sigma @ theta)
     if d.n == 0:
         return np.zeros_like(theta)
     u = d.x @ theta
-    if f.loss_id == "squared":
+    if loss == SQUARED:
         return -2.0 * (d.x.T @ (d.y - u))
     _check_labels(d)
     return d.x.T @ (sigmoid(u) - d.y)

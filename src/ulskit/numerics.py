@@ -251,15 +251,9 @@ class RngStream:
         return np.sort(idx)
 
 
-def sample_gaussian(rng: RngStream, mean, lower: np.ndarray, n: int) -> np.ndarray:
-    """Draw n rows of N(mean, L @ L.T) as mean + z @ L.T with z std normal."""
-    mu = as_vector(mean, "mean")
-    if mu.shape[0] != lower.shape[0]:
-        raise DimensionMismatch(
-            f"mean length {mu.shape[0]} does not match factor dim {lower.shape[0]}"
-        )
-    z = rng.standard_normal((n, lower.shape[0]))
-    return z @ lower.T + mu
+def sample_gaussian(rng: RngStream, lower: np.ndarray, n: int) -> np.ndarray:
+    """Draw n rows of N(0, L @ L.T) as z @ L.T with z std normal."""
+    return rng.standard_normal((n, lower.shape[0])) @ lower.T
 
 
 def bartlett_factor(rng: RngStream, df: int, p: int) -> np.ndarray:

@@ -152,7 +152,7 @@ def generate_rep(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
     """One replication's (remaining, forget, subsample) datasets, row by row."""
     x_r = rng.standard_normal((cfg.n_r, cfg.p))
     remaining = _with_response(x_r, theta_r, rng, "remaining")
-    x_f = sample_gaussian(rng, np.zeros(cfg.p), cfg.ar_factor, cfg.n_f)
+    x_f = sample_gaussian(rng, cfg.ar_factor, cfg.n_f)
     forget = _with_response(x_f, theta_f, rng, "forget")
     sub = subsample(remaining, cfg.n_sub, rng)
     return remaining, forget, sub
@@ -252,7 +252,17 @@ def method_theta(name: str, pb: Problem, st_r, pick_lambda) -> np.ndarray:
     return solver.fit(pb, pick_lambda(name) if solver.tuned else None).theta
 
 
-def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
+def search_spec(methods, folds: int, lo: float, hi: float, size: int):
+    """The CV search of ``methods``, or None when none of them is tuned: the
+    search's arguments are checked only where they are used."""
+    if any(name in SOLVERS and SOLVERS[name].tuned for name in methods):
+        return cv_spec(folds, lo, hi, size)
+    return None
+
+
+def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle, spec) -> list:
+    """One replication's records; a tuned method takes its lambda from
+    ``oracle`` when ``spec``, the CV search, is None."""
     data_rng = RngStream(cfg.seed, 1 + 2 * rep)
     cv_rng = RngStream(cfg.seed, 2 + 2 * rep)
     if cfg.redraw_truth:
@@ -263,10 +273,9 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle) -> list:
     v = np.zeros(cfg.p)
     v[v_idx] = 1.0
     truth = float(theta_r[v_idx])
-    spec = cv_spec(cfg.cv_folds, cfg.cv_grid_lo, cfg.cv_grid_hi, cfg.cv_grid_size)
 
     def pick_lambda(name: str) -> float:
-        if cfg.oracle_lambda:
+        if spec is None:
             return oracle[name]
         lam, _ = cv_select(name, pb, spec, cv_rng)
         return lam
@@ -298,11 +307,13 @@ def run_experiment(cfg: SimConfig):
     truth_rng = RngStream(cfg.seed, 0)
     theta_r, theta_f = draw_truth(cfg, truth_rng)
     oracle = _oracle_lambdas(cfg)
+    spec = None if cfg.oracle_lambda else search_spec(
+        cfg.methods, cfg.cv_folds, cfg.cv_grid_lo, cfg.cv_grid_hi, cfg.cv_grid_size)
     with blas_single_threaded():
         records = [
             record
             for rep in range(cfg.reps)
-            for record in _run_rep(cfg, rep, theta_r, theta_f, oracle)
+            for record in _run_rep(cfg, rep, theta_r, theta_f, oracle, spec)
         ]
     return records, summarize(cfg, records)
 

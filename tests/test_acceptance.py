@@ -148,7 +148,7 @@ def test_criterion_6_gd_convergence():
         target = uls(model, forget, sub).theta
         errors = [np.linalg.norm(model.theta_p - target)]
         gd_unlearn(
-            SQUARED, model, forget, sub, GdConfig(grad_tol=1e-12),
+            model, forget, sub, GdConfig(grad_tol=1e-12),
             callback=lambda t, theta: errors.append(np.linalg.norm(theta - target)),
         )
         errors = np.array(errors)
@@ -177,7 +177,7 @@ def test_criterion_7_generic_loss_fixed_point():
             seed + 400, n_r=1800, n_f=200, p=6
         )
         fit = gd_unlearn(
-            LOGISTIC, model, forget, remaining.with_role("subsample")
+            model, forget, remaining.with_role("subsample")
         )
         gnorm = np.linalg.norm(loss_grad(LOGISTIC, fit.theta, remaining))
         worst = max(worst, gnorm / remaining.n)
@@ -204,7 +204,7 @@ def test_criterion_8_variance_consistency():
         )
         fit = uls(model, forget, sub)
         terms = noise_terms(v, sub, fit.theta, model.theta_p)
-        vhats.append(variance_uls(terms, cfg.n_r, sub.n))
+        vhats.append(variance_uls(terms, cfg.n_r))
         points.append(float(v @ fit.theta))
     ratio = float(np.mean(vhats) / np.var(points, ddof=1))
     ok = 0.8 <= ratio <= 1.25

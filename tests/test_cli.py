@@ -557,7 +557,7 @@ def test_unlearn_empty_forget_uls_plus_cv_scores_the_output(p3_example):
 @pytest.mark.parametrize("method", ["ols", "uls", "uls+", "graddiff", "tl", "gd"])
 def test_unlearn_cli_library_and_table_agree(p3_example, method):
     from ulskit import (
-        SQUARED, gd_unlearn, graddiff, load_csv, transfer_ridge, uls, uls_plus,
+        gd_unlearn, graddiff, load_csv, transfer_ridge, uls, uls_plus,
     )
     from ulskit.estimators import SOLVERS, prepare
 
@@ -579,7 +579,7 @@ def test_unlearn_cli_library_and_table_agree(p3_example, method):
         "uls+": lambda: uls_plus(model, forget, sub, lam),
         "graddiff": lambda: graddiff(model, forget, sub, lam),
         "tl": lambda: transfer_ridge(model, sub, lam),
-        "gd": lambda: gd_unlearn(SQUARED, model, forget, sub),
+        "gd": lambda: gd_unlearn(model, forget, sub),
     }[method]().theta
     table = SOLVERS[method].fit(prepare(model, forget, sub), lam).theta
     cli = json.loads(out.read_text())["theta"]
@@ -589,7 +589,7 @@ def test_unlearn_cli_library_and_table_agree(p3_example, method):
 
 def test_unlearn_gd_on_a_logistic_model(tmp_path):
     # logistic gradient descent reads the rows, as the library does
-    from ulskit import LOGISTIC, gd_unlearn, load_csv
+    from ulskit import gd_unlearn, load_csv
 
     _, remaining, forget = logistic_instance(3, n_r=600, n_f=60, p=4)
     paths = {name: tmp_path / f"{name}.csv" for name in ("full", "forget", "sub")}
@@ -602,7 +602,7 @@ def test_unlearn_gd_on_a_logistic_model(tmp_path):
                  "--n-forget", "60", "--out", str(model)]) == 0
     assert main(["unlearn", "--model", str(model), "--forget", str(paths["forget"]),
                  "--sub", str(paths["sub"]), "--method", "gd", "--out", str(out)]) == 0
-    fit = gd_unlearn(LOGISTIC, load_model(model),
+    fit = gd_unlearn(load_model(model),
                      load_csv(paths["forget"], role="forget"),
                      load_csv(paths["sub"], role="subsample"))
     payload = json.loads(out.read_text())
@@ -756,6 +756,41 @@ def test_bench_checks_the_grid_only_for_tuned_methods(bench_files, methods, code
     err = capsys.readouterr().err
     assert out.exists() == (code == 0)
     assert ("ValueError" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--methods", "uls,ols", "--grid-lo", "5", "--grid-hi", "1"], 0),
+    (["--methods", "uls+", "--oracle-lambda", "--folds", "1"], 0),
+    (["--methods", "uls+", "--folds", "1"], 2),
+])
+def test_simulate_checks_the_search_only_where_it_runs(tmp_path, flags, code, capsys):
+    # as in bench: the CV flags matter only to a tuned method without oracle lambdas
+    records, summary = tmp_path / "records.csv", tmp_path / "summary.json"
+    assert main([
+        "simulate", "--nr", "200", "--nf", "20", "--p", "3", "--reps", "2", *flags,
+        "--records", str(records), "--summary", str(summary),
+    ]) == code
+    assert records.exists() == (code == 0)
+    assert ("ValueError" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "uls"],
+    ["--method", "uls+", "--lam", "1.0"],
+    ["--method", "uls+", "--lam-rule", "plugin"],
+])
+def test_unlearn_cv_table_without_a_search_exit_code(tmp_path, flags, capsys):
+    # rejected before any file is read: none of the inputs exists
+    table = tmp_path / "cv.csv"
+    code = main([
+        "unlearn", "--model", str(tmp_path / "model.json"),
+        "--forget", str(tmp_path / "forget.csv"), "--sub", str(tmp_path / "sub.csv"),
+        *flags, "--cv-table", str(table), "--out", str(tmp_path / "out.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: ") and "--cv-table" in err
+    assert not table.exists()
 
 
 def test_cli_start_up_leaves_out_scipy_stats():

@@ -67,7 +67,7 @@ def test_uls_empty_forget_is_identity():
 def test_uls_exact_unlearning_with_full_subsample():
     model, remaining, forget, sub = linear_instance(3, sub_is_remaining=True)
     fit = uls(model, forget, sub)
-    retrain = ols_fit(remaining, method="retrain")
+    retrain = ols_fit(remaining)
     gap = np.linalg.norm(fit.theta - retrain.theta)
     assert gap <= 1e-8 * (1.0 + np.linalg.norm(retrain.theta))
 
@@ -234,7 +234,7 @@ def test_transfer_ridge_stationary_point(seed):
 
 def test_gd_matches_closed_form():
     model, _, forget, sub = linear_instance(13)
-    fit = gd_unlearn(SQUARED, model, forget, sub)
+    fit = gd_unlearn(model, forget, sub)
     target = uls(model, forget, sub).theta
     assert np.linalg.norm(fit.theta - target) <= 1e-6
     assert fit.iterations <= 10_000
@@ -243,14 +243,14 @@ def test_gd_matches_closed_form():
 def test_gd_empty_forget_stops_immediately():
     model, _, _, sub = linear_instance(14)
     empty = Dataset(np.empty((0, model.p)), np.empty(0), "forget")
-    fit = gd_unlearn(SQUARED, model, empty, sub)
+    fit = gd_unlearn(model, empty, sub)
     assert fit.iterations == 0
     assert np.array_equal(fit.theta, model.theta_p)
 
 
 def test_gd_with_full_subsample_reaches_retrain():
     model, remaining, forget, sub = linear_instance(15, sub_is_remaining=True)
-    fit = gd_unlearn(SQUARED, model, forget, sub, GdConfig(grad_tol=1e-12))
+    fit = gd_unlearn(model, forget, sub, GdConfig(grad_tol=1e-12))
     retrain = ols_fit(remaining).theta
     assert np.linalg.norm(fit.theta - retrain) <= 1e-6
 
@@ -260,7 +260,6 @@ def test_gd_error_contraction():
     target = uls(model, forget, sub).theta
     errors = [np.linalg.norm(model.theta_p - target)]
     gd_unlearn(
-        SQUARED,
         model,
         forget,
         sub,
@@ -277,16 +276,16 @@ def test_gd_error_contraction():
 
 def test_gd_divergence_detected():
     model, _, forget, sub = linear_instance(17)
-    huge = 1e4 * default_step_size(SQUARED, model, sub)
+    huge = 1e4 * default_step_size(model, sub)
     with pytest.raises(Diverged):
-        gd_unlearn(SQUARED, model, forget, sub, GdConfig(alpha=huge))
+        gd_unlearn(model, forget, sub, GdConfig(alpha=huge))
 
 
 def test_gd_on_rows_and_on_their_statistics_agree():
     # the rows are reduced to the same statistics, step size included
     model, _, forget, sub = linear_instance(19)
-    rows = gd_unlearn(SQUARED, model, forget, sub)
-    stats = gd_unlearn(SQUARED, model, compute_stats(forget), compute_stats(sub))
+    rows = gd_unlearn(model, forget, sub)
+    stats = gd_unlearn(model, compute_stats(forget), compute_stats(sub))
     assert np.array_equal(rows.theta, stats.theta)
     assert rows.iterations == stats.iterations > 0
     assert rows.grad_residual == stats.grad_residual
@@ -307,13 +306,7 @@ def test_logistic_gd_rejects_statistics():
     model, remaining, forget = logistic_instance(22, n_r=300, n_f=30)
     sub = remaining.with_role("subsample")
     with pytest.raises(ValueError, match="needs the rows"):
-        gd_unlearn(LOGISTIC, model, compute_stats(forget), compute_stats(sub))
-
-
-def test_gd_loss_mismatch_rejected():
-    model, _, forget, sub = linear_instance(18)
-    with pytest.raises(ValueError):
-        gd_unlearn(LOGISTIC, model, forget, sub)
+        gd_unlearn(model, compute_stats(forget), compute_stats(sub))
 
 
 def test_pretrain_squared_equals_ols():

@@ -76,22 +76,22 @@ def test_variance_full_sample_degenerates():
     a = np.array([1.0, -2.0, 0.5])
     b = np.array([5.0, 5.0, 5.0])
     # n_sub == n_r: the b weights vanish and only sum(a^2)/n_r^2 remains
-    assert variance_uls(NoiseTerms(a, b), 3, 3) == pytest.approx(
+    assert variance_uls(NoiseTerms(a, b), 3) == pytest.approx(
         np.sum(a**2) / 9.0, rel=1e-14
     )
 
 
 def test_variance_hand_value():
     terms = NoiseTerms(np.ones(2), np.zeros(2))
-    assert variance_uls(terms, 4, 2) == pytest.approx(0.25, rel=1e-14)
+    assert variance_uls(terms, 4) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_variance_homogeneous_degree_two():
     rng = RngStream(2, 0)
     terms = NoiseTerms(rng.standard_normal(10), rng.standard_normal(10))
     doubled = NoiseTerms(2.0 * terms.a, 2.0 * terms.b)
-    assert variance_uls(doubled, 40, 10) == pytest.approx(
-        4.0 * variance_uls(terms, 40, 10), rel=1e-12
+    assert variance_uls(doubled, 40) == pytest.approx(
+        4.0 * variance_uls(terms, 40), rel=1e-12
     )
 
 
@@ -99,7 +99,15 @@ def test_variance_nonnegative():
     rng = RngStream(3, 0)
     for _ in range(20):
         terms = NoiseTerms(rng.standard_normal(8), rng.standard_normal(8))
-        assert variance_uls(terms, 30, 8) >= 0.0
+        assert variance_uls(terms, 30) >= 0.0
+
+
+def test_variance_rejects_more_terms_than_remaining_rows():
+    # one term per subsample row, and the subsample is drawn from the n_r rows
+    terms = NoiseTerms(np.ones(5), np.zeros(5))
+    assert variance_uls(terms, 5) == pytest.approx(0.2, rel=1e-14)
+    with pytest.raises(ValueError, match="n_sub=5 cannot exceed n_r=4"):
+        variance_uls(terms, 4)
 
 
 def test_ci_uls_z_multiplier():

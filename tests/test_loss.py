@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,11 +12,44 @@ from ulskit import (
     RngStream,
     compute_stats,
     concat_datasets,
+    estimators,
     loss_grad,
     loss_value,
     ols_fit,
+    pretrain,
 )
+from ulskit.data_model import LOSS_IDS
 from ulskit.loss import sigmoid
+
+UNKNOWN_LOSS = re.escape(str(LOSS_IDS))
+
+
+def test_a_loss_is_its_name():
+    assert (SQUARED, LOGISTIC) == LOSS_IDS == ("squared", "logistic")
+
+
+def test_unknown_loss_name_rejected():
+    d = Dataset(np.array([[3.0, -1.0]]), np.array([2.0]))
+    empty = Dataset(np.empty((0, 2)), np.empty(0), "forget")
+    for data in (d, empty, compute_stats(d)):
+        with pytest.raises(ValueError, match=UNKNOWN_LOSS):
+            loss_grad("hinge", np.zeros(2), data)
+    for data in (d, empty):
+        with pytest.raises(ValueError, match=UNKNOWN_LOSS):
+            loss_value("hinge", np.zeros(2), data)
+
+
+def test_pretrain_rejects_an_unknown_loss_before_fitting(monkeypatch):
+    # real-valued responses: the name is checked before the logistic {0, 1}
+    # label check, and before either fit starts
+    def no_fit(*args):
+        raise AssertionError("pretrain fitted under an unknown loss")
+
+    monkeypatch.setattr(estimators, "ols_fit", no_fit)
+    monkeypatch.setattr(estimators, "_fit_logistic", no_fit)
+    d = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0.5, -1.5, 2.5]))
+    with pytest.raises(ValueError, match=UNKNOWN_LOSS):
+        pretrain("hinge", d, n_forget=1)
 
 
 def test_squared_value_single_row():
@@ -68,7 +103,7 @@ def _central_difference(f, theta, d, h=1e-5):
 def test_grad_matches_finite_differences(f, seed):
     rng = RngStream(seed, 0)
     x = rng.standard_normal((5, 3))
-    if f.loss_id == "logistic":
+    if f == LOGISTIC:
         y = (rng.uniform(5) < 0.5).astype(float)
     else:
         y = rng.standard_normal(5)

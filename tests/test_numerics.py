@@ -168,12 +168,12 @@ def test_ar1_positive_definite(rho, p):
 
 def test_sample_gaussian_mean():
     n = 100_000
-    draws = sample_gaussian(RngStream(1, 0), np.zeros(3), cholesky(np.eye(3)), n)
+    draws = sample_gaussian(RngStream(1, 0), cholesky(np.eye(3)), n)
     assert np.all(np.abs(draws.mean(axis=0)) < 4.0 / np.sqrt(n))
 
 
 def test_sample_gaussian_deterministic():
-    args = (np.zeros(2), cholesky(ar1_covariance(2, 0.3)), 100)
+    args = (cholesky(ar1_covariance(2, 0.3)), 100)
     first = sample_gaussian(RngStream(5, 9), *args)
     second = sample_gaussian(RngStream(5, 9), *args)
     assert np.array_equal(first, second)
@@ -182,7 +182,7 @@ def test_sample_gaussian_deterministic():
 def test_sample_gaussian_lag1_correlation():
     n = 100_000
     draws = sample_gaussian(
-        RngStream(2, 0), np.zeros(2), cholesky(ar1_covariance(2, 0.3)), n
+        RngStream(2, 0), cholesky(ar1_covariance(2, 0.3)), n
     )
     corr = np.corrcoef(draws.T)[0, 1]
     assert 0.29 <= corr <= 0.31

@@ -19,7 +19,6 @@ from scipy.linalg import eigh
 
 from helpers import linear_instance
 from ulskit import (
-    SQUARED,
     Dataset,
     RngStream,
     SufficientStats,
@@ -160,7 +159,7 @@ def test_gd_fixed_point_is_uls(seed, p, n_f):
     # GD's residual is 2 Nr sigma_sub (theta - uls): its stopping residual
     # bounds the distance to uls by residual / (2 Nr lambda_min(sigma_sub))
     model, _, forget, sub = linear_instance(seed, n_f=n_f, p=p, n_sub=3 * p + 10)
-    fit = gd_unlearn(SQUARED, model, forget, sub)
+    fit = gd_unlearn(model, forget, sub)
     target = uls(model, forget, sub).theta
     pb = prepare(model, forget, sub)
     curvature = 2.0 * model.n_remaining * np.linalg.eigvalsh(pb.st_sub.sigma)[0]

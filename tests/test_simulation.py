@@ -313,7 +313,7 @@ def test_run_rep_full_ratio_uls_is_retrain_under_shift():
     theta_r, theta_f = draw_truth(cfg, RngStream(cfg.seed, 0))
     st_r, st_sub, _, _ = draw_rep_stats(cfg, theta_r, theta_f, RngStream(0, 1))
     assert st_r is st_sub
-    errors = {r.method: r.error for r in _run_rep(cfg, 0, theta_r, theta_f, {})}
+    errors = {r.method: r.error for r in _run_rep(cfg, 0, theta_r, theta_f, {}, None)}
     assert errors["uls"] == pytest.approx(errors["retrain"], abs=1e-10)
     assert abs(errors["pretrain"] - errors["retrain"]) > 1e-3
 

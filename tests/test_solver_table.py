@@ -71,7 +71,7 @@ def test_replication_counts(calls):
                     seed=4, methods=("uls", "ols"))
     theta_r, theta_f = draw_truth(cfg, RngStream(cfg.seed, 0))
     tally, _ = calls
-    records = _run_rep(cfg, 0, theta_r, theta_f, {})
+    records = _run_rep(cfg, 0, theta_r, theta_f, {}, None)
     assert all(r.error is not None and r.covered is not None for r in records)
     assert tally["cholesky"] <= 3
     # the subsample's Gram only: the forget set is drawn as statistics
@@ -106,7 +106,7 @@ def test_tuned_replication_forms_the_grams_once(calls):
     theta_r, theta_f = draw_truth(cfg, RngStream(cfg.seed, 0))
     tally, _ = calls
     tally.clear()
-    records = _run_rep(cfg, 0, theta_r, theta_f, {})
+    records = _run_rep(cfg, 0, theta_r, theta_f, {}, CvSpec())
     assert all(r.error is not None for r in records)
     assert tally["compute_stats"] == 1
     # the three searches share the replication's 5 folds

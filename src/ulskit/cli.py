@@ -31,7 +31,7 @@ from .data_model import (
 )
 from .errors import ParseError, SchemaMismatch, UlsError
 from .estimators import SOLVERS, GdConfig, forget_stats, prepare, pretrain
-from .inference import INTERVALS, ci_ols, ci_uls
+from .inference import INTERVALS, check_alpha, ci_ols, ci_uls
 from .numerics import RngStream, blas_single_threaded
 from .simulation import (
     METHODS,
@@ -42,7 +42,6 @@ from .simulation import (
     mpe,
     pooled_problem,
     run_experiment,
-    search_spec,
     write_records,
 )
 from .tuning import (
@@ -51,8 +50,8 @@ from .tuning import (
     CV_GRID_LO,
     CV_GRID_SIZE,
     cv_select,
-    cv_spec,
     plugin_lambda,
+    search_spec,
 )
 
 EXIT_OK = 0
@@ -90,33 +89,28 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    solver = SOLVERS[args.method]
-    searched = solver.tuned and args.lam is None and args.lam_rule == "cv"
-    if args.cv_table and not searched:
+    # every flag is settled before any file is read
+    plugin = args.lam is None and args.lam_rule == "plugin"
+    if plugin and args.method != "uls+":
+        raise ValueError("--lam-rule plugin is only defined for --method uls+")
+    spec = None
+    if args.lam is None and args.lam_rule == "cv":
+        spec = search_spec((args.method,), args.cv_folds, args.cv_grid_lo,
+                           args.cv_grid_hi, args.cv_grid_size)
+    if args.cv_table and spec is None:
         raise ValueError("--cv-table needs a CV search: a tuned --method, no --lam,"
                          " and --lam-rule cv")
+    cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
+
     model = load_model(args.model)
     forget = load_csv(args.forget, role="forget", expected_p=model.p)
     sub = load_csv(args.sub, role="subsample", expected_p=model.p)
-    cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
     pb = prepare(model, forget, sub, cfg)
+    lam = plugin_lambda(pb) if plugin else args.lam
+    if spec is not None:
+        lam, cv_table = cv_select(args.method, pb, spec, RngStream(args.cv_seed, 0))
 
-    if args.lam is not None:
-        lam = args.lam
-    elif args.lam_rule == "plugin":
-        if args.method != "uls+":
-            raise ValueError("--lam-rule plugin is only defined for --method uls+")
-        lam = plugin_lambda(pb)
-    elif searched:
-        rng = RngStream(args.cv_seed, 0)
-        spec = cv_spec(
-            args.cv_folds, args.cv_grid_lo, args.cv_grid_hi, args.cv_grid_size
-        )
-        lam, cv_table = cv_select(args.method, pb, spec, rng)
-    else:
-        lam = None
-
-    result = solver.fit(pb, lam)
+    result = SOLVERS[args.method].fit(pb, lam)
 
     save_json(result.to_json_dict(), args.out)
     if args.cv_table:
@@ -129,6 +123,7 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    check_alpha(args.alpha)
     model = forget = None
     if args.method == "uls":  # the model first: it fixes p for both CSVs
         if not args.model or not args.forget:
@@ -186,6 +181,8 @@ def _cmd_bench(args) -> int:
     # the retrained oracle rides along by default; an explicit list is final
     default = ("retrain", "pretrain", "ols", "uls")
     methods = check_methods(args.methods.split(",") if args.methods else default)
+    spec = search_spec(methods, args.cv_folds, args.cv_grid_lo, args.cv_grid_hi,
+                       args.cv_grid_size)
     remaining = load_csv(args.remaining, role="remaining")
     forget = load_csv(args.forget, role="forget", expected_p=remaining.p)
     test = load_csv(args.test, role="test", expected_p=remaining.p)
@@ -194,19 +191,12 @@ def _cmd_bench(args) -> int:
     sub = subsample(remaining, n_sub, RngStream(args.seed, 1))
     st_r = compute_stats(remaining)
     pb = pooled_problem(st_r, compute_stats(sub), forget_stats(forget, sub.p), sub)
-
-    spec = search_spec(methods, args.cv_folds, args.cv_grid_lo, args.cv_grid_hi,
-                       args.cv_grid_size)
-
     cv_rng = RngStream(args.seed, 2)  # shared, so every tuned method scores the same folds
-
-    def pick_lambda(method):
-        return cv_select(method, pb, spec, cv_rng)[0]
 
     def run_one(name):
         start = time.perf_counter()
         try:
-            value, error = mpe(method_theta(name, pb, st_r, pick_lambda), test), None
+            value, error = mpe(method_theta(name, pb, st_r, spec, cv_rng), test), None
         except UlsError as exc:  # a failed method, as in simulate: the rest stand
             value, error = math.nan, exc
         millis = (time.perf_counter() - start) * 1e3
@@ -328,12 +318,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaMismatch, OSError, ValueError) as exc:
+    except (OSError, ValueError, UlsError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UlsError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        input_error = (ParseError, SchemaMismatch, OSError, ValueError)
+        return EXIT_INPUT if isinstance(exc, input_error) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

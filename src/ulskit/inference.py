@@ -145,7 +145,8 @@ def _check_direction(v, p: int) -> np.ndarray:
     return v
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """The nominal level of an interval must lie strictly between 0 and 1."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
@@ -199,7 +200,7 @@ def _report(v, theta, variance: float, alpha: float, method: str) -> InferenceRe
 
 def uls_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
     """Interval for v'theta from a prepared problem and its uls fit theta."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     v = _check_direction(v, pb.sub.p)
     terms = _noise_terms(v, pb.sub, pb.sub_factor, theta, pb.theta_p)
     variance = variance_uls(terms, pb.model.n_remaining)
@@ -208,7 +209,7 @@ def uls_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
 
 def ols_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
     """Classical interval for v'theta from a prepared problem and its OLS fit."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     sub = pb.sub
     v = _check_direction(v, sub.p)
     if sub.n <= sub.p:

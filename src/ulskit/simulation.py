@@ -47,7 +47,7 @@ from .numerics import (
     safe_norm,
     sample_gaussian,
 )
-from .tuning import CV_FOLDS, CV_GRID_HI, CV_GRID_LO, CV_GRID_SIZE, cv_select, cv_spec
+from .tuning import CV_FOLDS, CV_GRID_HI, CV_GRID_LO, CV_GRID_SIZE, cv_select, search_spec
 
 # the retrain and pretrain references, then every unlearner of the table;
 # those with an entry in INTERVALS also record CI coverage and sd
@@ -237,32 +237,29 @@ def pooled_problem(st_r, st_sub, st_f, sub: Dataset) -> Problem:
     return Problem(model=model, st_sub=st_sub, st_f=st_f, sub=sub)
 
 
-def method_theta(name: str, pb: Problem, st_r, pick_lambda) -> np.ndarray:
+def method_theta(name: str, pb: Problem, st_r, spec, cv_rng, oracle=None) -> np.ndarray:
     """Coefficients of one method of :data:`METHODS` on a prepared problem.
 
     retrain is least squares on the remaining rows, given by their statistics
     ``st_r``; pretrain is the model's own fit. Every other name goes through
-    the solver table, taking ``pick_lambda(name)`` when the solver is tuned.
+    the solver table. A tuned solver takes its lambda from ``oracle[name]``
+    when ``spec``, the CV search, is None, and from ``cv_select`` on the
+    folds of ``cv_rng`` otherwise.
     """
     if name == "retrain":
         return ols_theta(st_r)
     if name == "pretrain":
         return pb.theta_p
     solver = SOLVERS[name]
-    return solver.fit(pb, pick_lambda(name) if solver.tuned else None).theta
-
-
-def search_spec(methods, folds: int, lo: float, hi: float, size: int):
-    """The CV search of ``methods``, or None when none of them is tuned: the
-    search's arguments are checked only where they are used."""
-    if any(name in SOLVERS and SOLVERS[name].tuned for name in methods):
-        return cv_spec(folds, lo, hi, size)
-    return None
+    lam = None
+    if solver.tuned:
+        lam = oracle[name] if spec is None else cv_select(name, pb, spec, cv_rng)[0]
+    return solver.fit(pb, lam).theta
 
 
 def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle, spec) -> list:
-    """One replication's records; a tuned method takes its lambda from
-    ``oracle`` when ``spec``, the CV search, is None."""
+    """One replication's records; a tuned method's lambda is chosen as in
+    :func:`method_theta`."""
     data_rng = RngStream(cfg.seed, 1 + 2 * rep)
     cv_rng = RngStream(cfg.seed, 2 + 2 * rep)
     if cfg.redraw_truth:
@@ -274,18 +271,12 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle, spec) -> list:
     v[v_idx] = 1.0
     truth = float(theta_r[v_idx])
 
-    def pick_lambda(name: str) -> float:
-        if spec is None:
-            return oracle[name]
-        lam, _ = cv_select(name, pb, spec, cv_rng)
-        return lam
-
     records = []
     for name in cfg.methods:
         start = time.perf_counter()
         error = covered = sd_hat = None
         try:
-            theta = method_theta(name, pb, st_r, pick_lambda)
+            theta = method_theta(name, pb, st_r, spec, cv_rng, oracle)
             error = safe_norm(theta - theta_r)  # stands if only the interval fails
             if name in INTERVALS:
                 report = INTERVALS[name](pb, theta, v, cfg.alpha)

@@ -86,9 +86,13 @@ class CvSpec:
         object.__setattr__(self, "grid", grid)
 
 
-def cv_spec(folds: int, lo: float, hi: float, size: int) -> CvSpec:
-    """``folds`` folds over the ``size`` log-uniform lambdas from lo to hi."""
-    return CvSpec(folds=folds, grid=tuple(log_grid(lo, hi, size)))
+def search_spec(methods, folds: int, lo: float, hi: float, size: int) -> CvSpec | None:
+    """``folds`` folds over the ``size`` log-uniform lambdas from lo to hi, or
+    None when none of ``methods`` is tuned: the arguments are checked only
+    where a search runs."""
+    if any(name in CV_METHODS for name in methods):
+        return CvSpec(folds, tuple(log_grid(lo, hi, size)))
+    return None
 
 
 def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:

@@ -793,6 +793,72 @@ def test_unlearn_cv_table_without_a_search_exit_code(tmp_path, flags, capsys):
     assert not table.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["unlearn", "--method", "uls", "--lam-rule", "plugin"],
+     "--lam-rule plugin is only defined for --method uls+"),
+    (["unlearn", "--method", "uls+", "--grid-lo", "5", "--grid-hi", "1"],
+     "need 0 < lo < hi, got lo=5.0, hi=1.0"),
+    (["unlearn", "--method", "gd", "--t-max", "0"], "t_max must be >= 1"),
+    (["bench", "--methods", "uls+", "--grid-size", "1"],
+     "need at least two grid points, got 1"),
+    (["infer", "--method", "ols", "--coord", "1", "--alpha", "1.5"],
+     "alpha must lie in (0, 1), got 1.5"),
+])
+def test_flag_is_checked_before_any_file_is_read(tmp_path, argv, message, capsys):
+    # none of the inputs exists: the flag's own error comes first
+    inputs = {"unlearn": ("--model", "--forget", "--sub"),
+              "bench": ("--remaining", "--forget", "--test"),
+              "infer": ("--sub",)}[argv[0]]
+    missing = [arg for flag in inputs for arg in (flag, str(tmp_path / flag[2:]))]
+    out = tmp_path / "out"
+    assert main([*argv, *missing, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ValueError: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, prefix", [
+    ("unlearn", ["--method", "gd", "--alpha", "0"], "alpha must be positive"),
+    ("unlearn", ["--method", "gd", "--t-max", "0"], "t_max must be >= 1"),
+    ("unlearn", ["--method", "gd", "--grad-tol", "0"], "grad_tol must be positive"),
+    ("unlearn", ["--method", "uls+", "--grid-size", "1"], "need at least two grid points"),
+    ("unlearn", ["--method", "uls+", "--lam", "-1"], "lam must be >= 0"),
+    ("unlearn", ["--method", "tl", "--lam", "0"], "lam must be > 0"),
+    ("simulate", ["--ratio", "0"], "subsample_ratio must lie in (0, 1]"),
+    ("simulate", ["--reps", "0"], "reps must be >= 1"),
+    ("simulate", ["--nr", "0"], "invalid sample sizes"),
+    ("simulate", ["--delta", "-1"], "delta must be >= 0"),
+    ("simulate", ["--v-coord", "0"], "v_direction must index a coordinate"),
+    ("simulate", ["--rho", "1"], "rho must lie in (-1, 1)"),
+])
+def test_bad_flag_value_exit_code(p3_example, command, flags, prefix, capsys):
+    paths, tmp = p3_example
+    out, summary = tmp / "out", tmp / "summary.json"
+    if command == "unlearn":
+        io = ["--model", str(paths["model"]), "--forget", str(paths["forget"]),
+              "--sub", str(paths["sub"]), "--out", str(out)]
+    else:  # the flags come last, so they override these sizes
+        io = ["--nr", "200", "--nf", "20", "--p", "3", "--reps", "2",
+              "--records", str(out), "--summary", str(summary)]
+    assert main([command, *io, *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"ValueError: {prefix}")
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "uls"], "--model and --forget are required for --method uls"),
+    (["--method", "ols", "--coord", "0"], "--coord must lie in [1, 3]"),
+    (["--method", "ols", "--coord", "4"], "--coord must lie in [1, 3]"),
+])
+def test_infer_flag_errors_exit_code(p3_example, flags, message, capsys):
+    paths, tmp = p3_example
+    out = tmp / "ci.json"
+    coord = [] if "--coord" in flags else ["--coord", "1"]
+    assert main(["infer", "--sub", str(paths["sub"]), *flags, *coord,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ValueError: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_start_up_leaves_out_scipy_stats():
     # scipy.stats alone roughly doubles the start-up time of every command
     src = str(Path(ulskit.__file__).resolve().parents[1])

@@ -28,6 +28,15 @@ def test_normal_quantile_value():
     assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [-0.1, 1.5, math.inf])
+def test_normal_quantile_outside_the_unit_interval_is_nan(q):
+    assert math.isnan(normal_quantile(q))
+
+
+def test_normal_quantile_at_the_ends_is_infinite():
+    assert normal_quantile(0.0) == -math.inf and normal_quantile(1.0) == math.inf
+
+
 def test_normal_quantile_bits():
     # the bits of scipy.stats.norm.ppf(0.975), which start-up no longer imports
     assert normal_quantile(0.975) == float.fromhex("0x1.f5c0331eeff84p+0")

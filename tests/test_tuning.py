@@ -28,7 +28,7 @@ from ulskit.data_model import compute_stats
 from ulskit.errors import IndefiniteObjective, SingularGram
 from ulskit.estimators import SOLVERS, graddiff_threshold
 from ulskit.simulation import mpe
-from ulskit.tuning import CV_METHODS
+from ulskit.tuning import CV_METHODS, search_spec
 
 
 def test_log_grid_decades():
@@ -167,6 +167,20 @@ def test_spec_validation():
         CvSpec(folds=3, grid=(2.0, 1.0))
     with pytest.raises(ValueError):
         log_grid(1.0, 0.5, 3)
+
+
+def test_cv_select_rejects_an_untuned_method():
+    model, _, forget, sub = linear_instance(0, n_sub=120)
+    with pytest.raises(ValueError, match="unknown CV method 'uls'"):
+        cv_select("uls", prepare(model, forget, sub))
+
+
+def test_search_spec_only_for_tuned_methods():
+    assert search_spec(("retrain", "uls", "gd"), 1, 5.0, 1.0, 1) is None
+    spec = search_spec(("uls", "tl"), 3, 1e-2, 1e2, 5)
+    assert spec == CvSpec(folds=3, grid=tuple(log_grid(1e-2, 1e2, 5)))
+    with pytest.raises(ValueError, match="need at least two grid points"):
+        search_spec(("uls+",), 5, 1.0, 2.0, 1)
 
 
 def _normal_equations(method, pb, lam):

@@ -18,7 +18,6 @@ from .data_model import (
     save_csv,
     save_json,
     save_model,
-    split_train_test,
     subsample,
 )
 from .errors import (
@@ -50,7 +49,6 @@ from .estimators import (
     pretrain,
     transfer_ridge,
     uls,
-    uls_objective_grad,
     uls_plus,
 )
 from .inference import (

@@ -31,7 +31,7 @@ from .data_model import (
 )
 from .errors import ParseError, SchemaMismatch, UlsError
 from .estimators import SOLVERS, GdConfig, forget_stats, prepare, pretrain
-from .inference import INTERVALS, check_alpha, ci_ols, ci_uls
+from .inference import INTERVALS, check_alpha
 from .numerics import RngStream, blas_single_threaded
 from .simulation import (
     METHODS,
@@ -100,7 +100,9 @@ def _cmd_unlearn(args) -> int:
     if args.cv_table and spec is None:
         raise ValueError("--cv-table needs a CV search: a tuned --method, no --lam,"
                          " and --lam-rule cv")
-    cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
+    cfg = GdConfig()  # the GD controls are read, and checked, for gd alone
+    if args.method == "gd":
+        cfg = GdConfig(alpha=args.alpha, t_max=args.t_max, grad_tol=args.grad_tol)
 
     model = load_model(args.model)
     forget = load_csv(args.forget, role="forget", expected_p=model.p)
@@ -146,10 +148,8 @@ def _cmd_infer(args) -> int:
                 f"{args.v_file}: direction has {got}, expected {sub.p} entries"
             )
 
-    if model is None:
-        report = ci_ols(sub, v, args.alpha)
-    else:
-        report = ci_uls(model, forget, sub, v, args.alpha)
+    pb = prepare(model, forget, sub)
+    report = INTERVALS[args.method](pb, SOLVERS[args.method].fit(pb).theta, v, args.alpha)
 
     save_json(report.to_json_dict(), args.out)
     print(

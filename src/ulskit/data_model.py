@@ -78,9 +78,6 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    def with_role(self, role: str) -> "Dataset":
-        return Dataset(self.x, self.y, role)
-
 
 @dataclass(frozen=True)
 class SufficientStats:
@@ -189,20 +186,6 @@ def subsample(d: Dataset, n_sub: int, rng: RngStream) -> Dataset:
         raise SubsampleTooLarge(f"requested {n_sub} rows from a dataset of {d.n}")
     idx = rng.choice_without_replacement(d.n, n_sub)
     return Dataset(d.x[idx], d.y[idx], "subsample")
-
-
-def split_train_test(d: Dataset, test_fraction: float, rng: RngStream):
-    """Disjoint (train, test) partition; the test side gets round(n * fraction) rows."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    n_test = int(round(d.n * test_fraction))
-    n_test = min(max(n_test, 1), d.n - 1)
-    perm = rng.permutation(d.n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    train = Dataset(d.x[train_idx], d.y[train_idx], d.role)
-    test = Dataset(d.x[test_idx], d.y[test_idx], "test")
-    return train, test
 
 
 # ---------------------------------------------------------------------------

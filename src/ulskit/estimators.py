@@ -237,7 +237,10 @@ def _result(method: str, theta, grad, lam=None) -> EstimateResult:
     )
 
 
-def _uls_objective_grad(theta, pb: Problem) -> np.ndarray:
+def _uls_grad(theta, pb: Problem) -> np.ndarray:
+    """Gradient of the unlearning objective -(omega_f / n_f) * loss(theta; forget)
+    + (theta_p - theta)' sigma_mix (theta_p - theta), whose unique stationary
+    point is the closed-form :func:`uls` output."""
     om_f, om_r, st_sub, st_f = pb.model.omega_f, pb.model.omega_r, pb.st_sub, pb.st_f
     gap = pb.theta_p - theta
     sigma_mix_gap = om_r * (st_sub.sigma @ gap) + om_f * (st_f.sigma @ gap)
@@ -257,7 +260,7 @@ def _uls(pb: Problem, lam=None) -> EstimateResult:
     st_f = pb.st_f
     correction = spd_solve(pb.sub_factor, st_f.sigma @ pb.theta_p - st_f.m)
     theta = pb.theta_p + (pb.model.omega_f / pb.model.omega_r) * correction
-    return _result("uls", theta, _uls_objective_grad(theta, pb))
+    return _result("uls", theta, _uls_grad(theta, pb))
 
 
 def _retain_grad(pb: Problem, theta) -> np.ndarray:
@@ -283,7 +286,7 @@ def _uls_plus_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
 def _uls_plus_grad(pb: Problem, theta, lam):
     if pb.st_f.n == 0:  # the no-op, as for uls
         return 0.0
-    return _uls_objective_grad(theta, pb) + lam * _retain_grad(pb, theta)
+    return _uls_grad(theta, pb) + lam * _retain_grad(pb, theta)
 
 
 # Iterative refinement as LAPACK's dporfs runs it: at most its five (ITMAX)
@@ -485,20 +488,6 @@ def uls(model: PretrainedModel, forget: Dataset, sub: Dataset) -> EstimateResult
     unchanged.
     """
     return SOLVERS["uls"].fit(prepare(model, forget, sub))
-
-
-def uls_objective_grad(
-    theta, model: PretrainedModel, forget: Dataset, sub: Dataset
-) -> np.ndarray:
-    """Gradient of the unlearning objective
-
-        -(omega_f / n_f) * loss(theta; forget)
-            + (theta_p - theta)' sigma_mix (theta_p - theta)
-
-    whose unique stationary point is the closed-form :func:`uls` output.
-    """
-    pb = prepare(model, forget, sub)
-    return _uls_objective_grad(np.asarray(theta, dtype=np.float64), pb)
 
 
 def uls_plus(

@@ -37,7 +37,7 @@ from .data_model import (
 )
 from .errors import EmptyDataset, UlsError
 from .estimators import SOLVERS, Problem, forget_stats, ols_theta
-from .inference import INTERVALS
+from .inference import INTERVALS, check_alpha
 from .numerics import (
     RngStream,
     ar1_covariance,
@@ -99,6 +99,7 @@ class SimConfig:
             raise ValueError("delta must be >= 0")
         if not 1 <= self.v_direction <= self.p:
             raise ValueError("v_direction must index a coordinate (1-based)")
+        check_alpha(self.alpha)
         object.__setattr__(self, "methods", check_methods(self.methods))
 
     @property

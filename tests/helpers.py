@@ -40,7 +40,7 @@ def linear_instance(
     full = concat_datasets([remaining, forget], "remaining")
     model = pretrain(SQUARED, full, n_forget=n_f)
     if sub_is_remaining:
-        sub = remaining.with_role("subsample")
+        sub = Dataset(remaining.x, remaining.y, "subsample")
     else:
         sub = subsample(remaining, n_sub, RngStream(seed, 1))
     return model, remaining, forget, sub

@@ -177,7 +177,7 @@ def test_criterion_7_generic_loss_fixed_point():
             seed + 400, n_r=1800, n_f=200, p=6
         )
         fit = gd_unlearn(
-            model, forget, remaining.with_role("subsample")
+            model, forget, Dataset(remaining.x, remaining.y, "subsample")
         )
         gnorm = np.linalg.norm(loss_grad(LOGISTIC, fit.theta, remaining))
         worst = max(worst, gnorm / remaining.n)

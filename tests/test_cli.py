@@ -829,6 +829,7 @@ def test_flag_is_checked_before_any_file_is_read(tmp_path, argv, message, capsys
     ("simulate", ["--delta", "-1"], "delta must be >= 0"),
     ("simulate", ["--v-coord", "0"], "v_direction must index a coordinate"),
     ("simulate", ["--rho", "1"], "rho must lie in (-1, 1)"),
+    ("simulate", ["--methods", "uls+", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
 ])
 def test_bad_flag_value_exit_code(p3_example, command, flags, prefix, capsys):
     paths, tmp = p3_example
@@ -842,6 +843,38 @@ def test_bad_flag_value_exit_code(p3_example, command, flags, prefix, capsys):
     assert main([command, *io, *flags]) == 2
     assert capsys.readouterr().err.startswith(f"ValueError: {prefix}")
     assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("flag", [["--t-max", "0"], ["--alpha", "0"], ["--grad-tol", "0"]],
+                         ids=["t-max", "alpha", "grad-tol"])
+@pytest.mark.parametrize("method", [["uls"], ["uls+", "--lam", "2"], ["tl", "--lam", "2"]],
+                         ids=["uls", "uls+", "tl"])
+def test_unlearn_ignores_the_gd_controls_of_another_method(p3_example, method, flag):
+    paths, tmp = p3_example
+    io = ["--model", str(paths["model"]), "--forget", str(paths["forget"]),
+          "--sub", str(paths["sub"]), "--method", *method]
+    plain, given = tmp / "plain.json", tmp / "given.json"
+    assert main(["unlearn", *io, "--out", str(plain)]) == 0
+    assert main(["unlearn", *io, *flag, "--out", str(given)]) == 0
+    assert given.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("method, coord", [("uls", 1), ("ols", 2)])
+def test_infer_cli_and_library_agree(p3_example, method, coord):
+    from ulskit import ci_ols, ci_uls, load_csv, save_json
+
+    paths, tmp = p3_example
+    cli, library = tmp / "cli.json", tmp / "library.json"
+    assert main(["infer", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+                 "--sub", str(paths["sub"]), "--method", method, "--coord", str(coord),
+                 "--out", str(cli)]) == 0
+    model = load_model(paths["model"])
+    forget = load_csv(paths["forget"], role="forget")
+    sub = load_csv(paths["sub"], role="subsample")
+    v = np.eye(3)[coord - 1]
+    report = ci_uls(model, forget, sub, v) if method == "uls" else ci_ols(sub, v)
+    save_json(report.to_json_dict(), library)
+    assert cli.read_bytes() == library.read_bytes()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -20,7 +20,6 @@ from ulskit import (
     load_model,
     save_csv,
     save_model,
-    split_train_test,
     subsample,
 )
 from ulskit import data_model
@@ -120,26 +119,6 @@ def test_subsample_too_large():
     d = Dataset(np.ones((3, 1)), np.ones(3))
     with pytest.raises(SubsampleTooLarge):
         subsample(d, 4, RngStream(0, 0))
-
-
-def test_split_sizes_and_union():
-    rng = RngStream(3, 0)
-    d = Dataset(rng.standard_normal((10, 2)), rng.standard_normal(10))
-    train, test = split_train_test(d, 0.2, RngStream(3, 1))
-    assert (train.n, test.n) == (8, 2)
-    assert test.role == "test"
-    merged = np.vstack([rows_as_multiset(train), rows_as_multiset(test)])
-    order = np.lexsort(merged.T[::-1])
-    assert_allclose(merged[order], rows_as_multiset(d))
-
-
-def test_split_deterministic():
-    rng = RngStream(6, 0)
-    d = Dataset(rng.standard_normal((20, 2)), rng.standard_normal(20))
-    a_train, a_test = split_train_test(d, 0.25, RngStream(6, 1))
-    b_train, b_test = split_train_test(d, 0.25, RngStream(6, 1))
-    assert np.array_equal(a_train.x, b_train.x)
-    assert np.array_equal(a_test.x, b_test.x)
 
 
 def test_csv_two_rows(tmp_path):

@@ -28,10 +28,9 @@ from ulskit import (
     pretrain,
     transfer_ridge,
     uls,
-    uls_objective_grad,
     uls_plus,
 )
-from ulskit.estimators import SOLVERS, _result
+from ulskit.estimators import SOLVERS, _result, _uls_grad
 from ulskit.simulation import pooled_problem
 
 
@@ -80,7 +79,7 @@ def test_uls_worked_scalar_example():
     full = concat_datasets([remaining, forget], "remaining")
     model = pretrain(SQUARED, full, n_forget=1)
     assert model.theta_p[0] == pytest.approx(14.0 / 3.0, rel=1e-14)
-    fit = uls(model, forget, remaining.with_role("subsample"))
+    fit = uls(model, forget, Dataset(remaining.x, remaining.y, "subsample"))
     assert fit.theta[0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -103,7 +102,7 @@ def _uls_objective(theta, model, forget, sub, lam=0.0):
 def test_uls_output_is_stationary(seed):
     model, _, forget, sub = linear_instance(seed)
     fit = uls(model, forget, sub)
-    grad = uls_objective_grad(fit.theta, model, forget, sub)
+    grad = _uls_grad(fit.theta, prepare(model, forget, sub))
     assert np.linalg.norm(grad) < 1e-6 * (1.0 + np.linalg.norm(model.theta_p))
 
 
@@ -111,7 +110,7 @@ def test_uls_objective_grad_matches_finite_differences():
     model, _, forget, sub = linear_instance(7)
     rng = RngStream(7, 2)
     theta = model.theta_p + 0.3 * rng.standard_normal(model.p)
-    grad = uls_objective_grad(theta, model, forget, sub)
+    grad = _uls_grad(theta, prepare(model, forget, sub))
     h = 1e-6
     approx = np.empty_like(theta)
     for j in range(theta.size):
@@ -128,7 +127,7 @@ def test_uls_objective_grad_matches_finite_differences():
 def test_uls_objective_grad_empty_forget_at_pretrained():
     model, _, _, sub = linear_instance(4)
     empty = Dataset(np.empty((0, model.p)), np.empty(0), "forget")
-    grad = uls_objective_grad(model.theta_p, model, empty, sub)
+    grad = _uls_grad(model.theta_p, prepare(model, empty, sub))
     assert np.max(np.abs(grad)) <= 1e-12
 
 
@@ -304,7 +303,7 @@ def test_gd_solver_needs_no_forget_rows():
 
 def test_logistic_gd_rejects_statistics():
     model, remaining, forget = logistic_instance(22, n_r=300, n_f=30)
-    sub = remaining.with_role("subsample")
+    sub = Dataset(remaining.x, remaining.y, "subsample")
     with pytest.raises(ValueError, match="needs the rows"):
         gd_unlearn(model, compute_stats(forget), compute_stats(sub))
 

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import linear_instance
 from ulskit import (
+    Dataset,
     RngStream,
     SingularGram,
     ci_uls,
@@ -208,7 +209,7 @@ def test_bench_forms_each_gram_once(calls, tmp_path):
     # Gram of the concatenated rows is formed, and retrain reads the same one
     model, remaining, forget, _ = linear_instance(9)
     paths = {}
-    for d in (remaining, forget, remaining.with_role("test")):
+    for d in (remaining, forget, Dataset(remaining.x, remaining.y, "test")):
         paths[d.role] = tmp_path / f"{d.role}.csv"
         save_csv(d, paths[d.role])
     tally, seen = calls

@@ -35,7 +35,6 @@ from .inference import INTERVALS, check_alpha
 from .numerics import RngStream, blas_single_threaded
 from .simulation import (
     METHODS,
-    PRESETS,
     SimConfig,
     check_methods,
     method_theta,
@@ -164,7 +163,7 @@ def _cmd_simulate(args) -> int:
     methods = given.pop("methods", "")
     if methods:  # "" means the default methods, as in bench
         given["methods"] = tuple(methods.split(","))
-    cfg = SimConfig(**{**PRESETS.get(args.preset, {}), **given})
+    cfg = SimConfig(**given)
 
     _check_threads(args)
     records, summary = run_experiment(cfg)
@@ -273,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # a config flag is stored under its SimConfig field name, and only if given
     s = sub.add_parser("simulate", help="Monte Carlo study of the estimators",
                        argument_default=argparse.SUPPRESS)
-    s.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    s.add_argument("--preset", choices=["table1"], default=None,
+                   help="the paper's Table 1 sizes, which are the defaults")
     s.add_argument("--nr", dest="n_r", type=int)
     s.add_argument("--nf", dest="n_f", type=int)
     s.add_argument("--p", type=int)

@@ -27,19 +27,19 @@ one factorization or eigendecomposition:
 
     uls+:   theta(lam) = (a + lam b) / (omega_r + lam), where
             sigma_sub a = sigma_mix theta_p - omega_f m_f, sigma_sub b = m_sub
-    ridge:  theta(lam) = Q (diag(1/(d+lam)) Q'm_sub + diag(lam/(d+lam)) Q'theta_p),
-            where sigma_sub = Q diag(d) Q'
-    gdiff:  theta(lam) = V (diag(lam/(lam-mu)) V'm_sub - diag(1/(lam-mu)) V'm_f),
-            where sigma_f V = sigma_sub V diag(mu) and V' sigma_sub V = I
+    pencil: theta(lam) = V diag(1/(lam - mu)) V'(lam b_p - b_q) solves
+            (lam A_p - A_q) theta = lam b_p - b_q, where A_q V = A_p V diag(mu)
+            and V' A_p V = I; gdiff is (A_p, b_p, A_q, b_q) = (sigma_sub, m_sub,
+            sigma_f, m_f), and ridge is (I, theta_p, -sigma_sub, -m_sub)
 
-The ridge and GradDiff paths hold lam only in bounded ratios, so no finite
-lam overflows them. They refine each column with their own decomposition
-while that lowers its backward error, and solve by Cholesky a column that
-refinement cannot bring to rounding, or (ridge) whose shifted spectrum is
-too wide to tell a singular system (:func:`_refined`). GradDiff's objective
-is bounded below iff lam > mu_max; :func:`graddiff_feasible` decides, by
-lam - mu_max > PIVOT_FLOOR * lam. Every tuned fit is its path's column at one
-lam, where a NaN column is an :class:`IndefiniteObjective`.
+Both pencil paths hold lam only in bounded ratios, so no finite lam overflows
+them. They refine each column with the pencil while that lowers its backward
+error, and solve by Cholesky a column that refinement cannot bring to
+rounding, or (ridge) whose shifted spectrum is too wide to tell a singular
+system (:func:`_pencil_path`). GradDiff's objective is bounded below iff
+lam > mu_max; :func:`graddiff_feasible` decides, by lam - mu_max >
+PIVOT_FLOOR * lam. Every tuned fit is its path's column at one lam, where a
+NaN column is an :class:`IndefiniteObjective`.
 """
 
 from __future__ import annotations
@@ -300,38 +300,52 @@ _REFINE_STEPS, _ROUNDING, _REFINED = 5, 4.0 * np.finfo(np.float64).eps, 1e-14
 _TINY = np.finfo(np.float64).tiny  # in the denominator: a row of zero terms has error 0
 
 
-def _refined(theta: np.ndarray, residual, solve, system, direct=False) -> np.ndarray:
-    """A path's columns, refined to rounding or solved directly.
+def _pencil_path(lams, c, mu, v, a_p, b_p, a_q, b_q, direct=False) -> np.ndarray:
+    """The columns theta(lam) of (lam A_p - A_q) theta = lam b_p - b_q, from
+    the pencil A_q V = A_p V diag(mu), V' A_p V = I, refined to rounding or
+    solved directly.
 
-    ``residual(theta)`` gives the normal equations' residual at theta, as the
-    arguments of ``solve``, and each column's backward error; ``solve``
-    corrects with the path's own decomposition, whose error is relative to
-    the largest eigenvalue d_max. A step multiplies a column's error by about
-    1e-16 d_max over the smallest shifted eigenvalue (d_min + lam for the
-    ridge), so on columns of very different scales it may take several, and
-    none converge where that factor nears 1. There column k is solved from
-    ``system(k)``, its matrix and right-hand side, by Cholesky, as is every
-    column of the mask ``direct``; a matrix that fails the pivot check gives
-    a NaN column, as its objective is not numerically strictly convex.
+    Each column is V diag(1/(lam - mu)) V' (lam b_p - b_q), and a correction
+    solves the same way for its residual. Its backward error is taken on the
+    equations over lam + c, so no finite lam overflows it. The pencil's error
+    is relative to max |mu|, so a step multiplies a column's error by about
+    1e-16 max |mu| / min (lam - mu): on columns of very different scales it
+    may take several, and none converge where that factor nears 1. There the
+    column is solved by Cholesky of lam A_p - A_q, as is every column of the
+    mask ``direct``; a matrix that fails the pivot check gives a NaN column,
+    as its objective is not numerically strictly convex.
     """
-    r, berr = residual(theta)
-    last = np.full(theta.shape[1], np.inf)
+    b_p, b_q = b_p[:, None], b_q[:, None]
+    gap, shift = lams - mu[:, None], lams + c
+    w_p, abs_p, abs_q = lams / shift, np.abs(a_p), np.abs(a_q)
+    fixed = w_p * np.abs(b_p) + np.abs(b_q) / shift + _TINY
+
+    def solve(r_p, r_q):
+        return v @ ((lams / gap) * (v.T @ r_p) - (v.T @ r_q) / gap)
+
+    def residual(theta):
+        r_p, r_q, size = b_p - a_p @ theta, b_q - a_q @ theta, np.abs(theta)
+        scale = w_p * (abs_p @ size) + (abs_q @ size) / shift + fixed
+        return r_p, r_q, np.max(np.abs(w_p * r_p - r_q / shift) / scale, axis=0)
+
+    theta = solve(b_p, b_q)
+    r_p, r_q, berr = residual(theta)
+    last = np.full(len(lams), np.inf)
     for _ in range(_REFINE_STEPS):
         open_ = (berr > _ROUNDING) & (2.0 * berr <= last)
         if not open_.any():
             break
-        trial = theta + solve(*r)
-        r_trial, berr_trial = residual(trial)
-        take = open_ & (berr_trial < berr)
+        trial = theta + solve(r_p, r_q)
+        t_p, t_q, t_berr = residual(trial)
+        take = open_ & (t_berr < berr)
         last = np.where(take, berr, 0.0)
-        theta = np.where(take, trial, theta)
-        r = tuple(np.where(take, new, old) for new, old in zip(r_trial, r))
-        berr = np.where(take, berr_trial, berr)
+        theta, berr = np.where(take, trial, theta), np.where(take, t_berr, berr)
+        r_p, r_q = np.where(take, t_p, r_p), np.where(take, t_q, r_q)
     theta = finite_solution(theta)
     for k in np.flatnonzero((berr > _REFINED) | direct):
-        a, b = system(k)
         try:
-            theta[:, k] = spd_solve(cholesky(a), b)
+            factor = cholesky(lams[k] * a_p - a_q)
+            theta[:, k] = spd_solve(factor, (lams[k] * b_p - b_q)[:, 0])
         except NotPositiveDefinite:
             theta[:, k] = np.nan
     return theta
@@ -356,28 +370,10 @@ def _graddiff_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "graddiff")
     mu, v = pb.pencil
     st_sub, st_f = pb.st_sub, pb.st_f
-    m_sub, m_f = st_sub.m[:, None], st_f.m[:, None]
-    abs_sub, abs_f = np.abs(st_sub.sigma), np.abs(st_f.sigma)
     ok = graddiff_feasible(pb, lams)
-    lam = lams[ok]
-    gap = lam - mu[:, None]
-
-    def solve(b_sub, b_f):  # (lam sigma_sub - sigma_f) theta = lam b_sub - b_f
-        return v @ ((lam / gap) * (v.T @ b_sub) - (v.T @ b_f) / gap)
-
-    fixed = np.abs(m_sub) + np.abs(m_f) / lam + _TINY
-
-    def residual(theta):  # the equations over lam, so nothing overflows
-        r_sub, r_f = m_sub - st_sub.sigma @ theta, m_f - st_f.sigma @ theta
-        size = np.abs(theta)
-        scale = abs_sub @ size + (abs_f @ size) / lam + fixed
-        return (r_sub, r_f), np.max(np.abs(r_sub - r_f / lam) / scale, axis=0)
-
-    def system(k):
-        return lam[k] * st_sub.sigma - st_f.sigma, lam[k] * st_sub.m - st_f.m
-
     thetas = np.full((len(mu), len(lams)), np.nan)
-    thetas[:, ok] = _refined(solve(m_sub, m_f), residual, solve, system)
+    thetas[:, ok] = _pencil_path(lams[ok], 0.0, mu, v, st_sub.sigma, st_sub.m,
+                                 st_f.sigma, st_f.m)
     return thetas
 
 
@@ -390,30 +386,13 @@ def _transfer_ridge_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "tl")
     if np.any(lams <= 0.0):
         raise ValueError(f"lam must be > 0, got {lams.min():g}")
-    sigma, m_sub, theta_p = pb.st_sub.sigma, pb.st_sub.m[:, None], pb.theta_p[:, None]
-    abs_sigma = np.abs(sigma)
+    sigma = pb.st_sub.sigma
     d, q = np.linalg.eigh(sigma)
-    shift = d[:, None] + lams
-    near, far = 1.0 / (1.0 + lams), lams / (1.0 + lams)
-
-    def solve(b_m, b_t):  # (sigma_sub + lam I) theta = b_m + lam b_t
-        return q @ ((q.T @ b_m) / shift + (lams / shift) * (q.T @ b_t))
-
-    fixed = near * np.abs(m_sub) + far * np.abs(theta_p) + _TINY
-
-    def residual(theta):  # the equations over 1 + lam, so nothing overflows
-        r_m, r_t = m_sub - sigma @ theta, theta_p - theta
-        size = np.abs(theta)
-        scale = near * (abs_sigma @ size) + far * size + fixed
-        return (r_m, r_t), np.max(np.abs(near * r_m + far * r_t) / scale, axis=0)
-
-    def system(k):
-        return sigma + lams[k] * np.eye(len(d)), pb.st_sub.m + lams[k] * pb.theta_p
-
     # a shifted spectrum this wide cannot tell a singular system from columns
     # of very different scales; Cholesky's scale-invariant pivot floor can
     singular = d[0] + lams <= PIVOT_FLOOR * (d[-1] + lams)
-    return _refined(solve(m_sub, theta_p), residual, solve, system, singular)
+    return _pencil_path(lams, 1.0, -d, q, np.eye(len(d)), pb.theta_p,
+                        -sigma, -pb.st_sub.m, singular)
 
 
 def _transfer_ridge_grad(pb: Problem, theta, lam) -> np.ndarray:

@@ -53,8 +53,6 @@ from .tuning import CV_FOLDS, CV_GRID_HI, CV_GRID_LO, CV_GRID_SIZE, cv_select, s
 # those with an entry in INTERVALS also record CI coverage and sd
 METHODS = ("retrain", "pretrain", *SOLVERS)
 
-PRESETS = {"table1": {}}  # SimConfig's defaults are the paper's Table 1 sizes
-
 
 def check_methods(names) -> tuple[str, ...]:
     """``names`` as a tuple, each one of :data:`METHODS` and named once."""

@@ -6,10 +6,10 @@ its Gram matrices once, in :func:`~ulskit.estimators.prepare`.
 round-robin folds, drawn once per problem, fold count and random stream, so
 every method tuned with that stream scores the same folds. On each training
 fold the solver's path gives the coefficients of every candidate lambda from
-one factorization (uls+) or one eigendecomposition (ridge, GradDiff; refined
-with its own residual, and solved by Cholesky where refinement cannot
-converge), and one vectorized expression scores them all by squared
-prediction error on the held-out fold.
+one factorization (uls+) or one pencil eigendecomposition (ridge and
+GradDiff, which share one path: refined with its own residual, and solved by
+Cholesky where refinement cannot converge), and one vectorized expression
+scores them all by squared prediction error on the held-out fold.
 Every tuned fit is a column of the same path, so the search scores exactly
 what the fit returns. Ties break toward the larger (more conservative)
 lambda.

@@ -14,7 +14,7 @@ import ulskit
 from helpers import linear_instance, logistic_instance
 from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv, save_model
 from ulskit.cli import main
-from ulskit.simulation import PRESETS, SimConfig
+from ulskit.simulation import SimConfig
 
 Z_975 = 1.9599639845400545
 
@@ -362,13 +362,6 @@ def test_simulate_flag_sets_its_config_field(monkeypatch, tmp_path, flags, field
     cfg = _simulate_config(monkeypatch, tmp_path, flags)
     assert cfg == replace(SimConfig(), **{field: value})
     assert type(getattr(cfg, field)) is type(value)  # the summary prints the type
-
-
-def test_simulate_flags_override_the_preset(monkeypatch, tmp_path):
-    monkeypatch.setitem(PRESETS, "table1", {"n_r": 500, "p": 7, "cv_grid_size": 9})
-    cfg = _simulate_config(monkeypatch, tmp_path,
-                           ["--preset", "table1", "--nr", "2000", "--grid-size", "5"])
-    assert cfg == SimConfig(n_r=2000, p=7, cv_grid_size=5)
 
 
 @pytest.fixture
@@ -1054,7 +1047,9 @@ _COUNTS_MODEL = ('{"theta": [2.0], "n_total": 10, "n_remaining": 9, "n_forget": 
     ('"n_total": 10', '"n_total": "10"'),
     ('"n_total": 10', '"n_total": 1e400'),
     ('[2.0]', "[" + "9" * 400 + "]"),
-], ids=["fractional", "bool", "string", "overflowing-count", "overflowing-theta"])
+    ('"squared"}', '"squared"'),
+], ids=["fractional", "bool", "string", "overflowing-count", "overflowing-theta",
+        "truncated"])
 def test_model_json_counts_are_integers(worked_example, old, new, capsys):
     model, forget, sub, tmp = worked_example
     argv = ["unlearn", "--model", str(model), "--forget", str(forget),
@@ -1066,6 +1061,29 @@ def test_model_json_counts_are_integers(worked_example, old, new, capsys):
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("SchemaMismatch"), lines
+
+
+def test_pretrain_rejects_a_forget_set_of_every_row(p3_example, capsys):
+    paths, tmp = p3_example
+    out = tmp / "all.json"
+    code = main(["pretrain", str(paths["full"]), "--n-forget", "135", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ValueError: n_forget=135 must lie in [0, n=135)"]
+    assert not out.exists()
+
+
+def test_gd_on_an_all_zero_subsample_is_a_singular_gram(p3_example, capsys):
+    paths, tmp = p3_example
+    zero = tmp / "zero.csv"
+    _write_csv(zero, np.zeros((60, 3)), np.ones(60))
+    out = tmp / "gd.json"
+    code = main(["unlearn", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+                 "--sub", str(zero), "--method", "gd", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "SingularGram: subsample Gram matrix has no positive spectrum"]
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1132,6 +1150,7 @@ _MALFORMED_CSVS = {
     "group-separator": "y,x1,x2,x3\n1,2\x1d,3,4\n",
     "record-separator": "y,x1,x2,x3\n1,\x1e2,3,4\n",
     "unit-separator": "y,x1,x2,x3\n1,2,3,4\x1f\n",
+    "no-covariate-header": "y\n1\n",
 }
 
 # (command, the flag that names the CSV, the files of the other roles)

@@ -4,18 +4,18 @@ Subcommands: pretrain | unlearn | infer | simulate | bench. Exit codes are a
 stable contract: 0 on success, 2 on input/IO problems (missing files, parse
 or schema errors, bad flag values), 3 on numerical or method failures
 (singular Gram matrices, indefinite objectives, divergence, ...). Structured
-error names go to stderr. simulate and bench run in the calling thread;
-their --threads is validated but does not change how a run executes.
+error names go to stderr. simulate and bench run in the calling thread and
+fit each method through simulation.run_method, so a method fails the same way
+in both; their --threads is validated but does not change how a run executes.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import time
 import warnings
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -37,10 +37,10 @@ from .simulation import (
     METHODS,
     SimConfig,
     check_methods,
-    method_theta,
     mpe,
     pooled_problem,
     run_experiment,
+    run_method,
     write_records,
 )
 from .tuning import (
@@ -96,6 +96,7 @@ def _cmd_unlearn(args) -> int:
     if args.lam is None and args.lam_rule == "cv":
         spec = search_spec((args.method,), args.cv_folds, args.cv_grid_lo,
                            args.cv_grid_hi, args.cv_grid_size)
+    cv_rng = None if spec is None else RngStream(args.cv_seed, 0)
     if args.cv_table and spec is None:
         raise ValueError("--cv-table needs a CV search: a tuned --method, no --lam,"
                          " and --lam-rule cv")
@@ -109,7 +110,7 @@ def _cmd_unlearn(args) -> int:
     pb = prepare(model, forget, sub, cfg)
     lam = plugin_lambda(pb) if plugin else args.lam
     if spec is not None:
-        lam, cv_table = cv_select(args.method, pb, spec, RngStream(args.cv_seed, 0))
+        lam, cv_table = cv_select(args.method, pb, spec, cv_rng)
 
     result = SOLVERS[args.method].fit(pb, lam)
 
@@ -182,38 +183,31 @@ def _cmd_bench(args) -> int:
     methods = check_methods(args.methods.split(",") if args.methods else default)
     spec = search_spec(methods, args.cv_folds, args.cv_grid_lo, args.cv_grid_hi,
                        args.cv_grid_size)
+    sub_rng, cv_rng = RngStream(args.seed, 1), RngStream(args.seed, 2)
     remaining = load_csv(args.remaining, role="remaining")
     forget = load_csv(args.forget, role="forget", expected_p=remaining.p)
     test = load_csv(args.test, role="test", expected_p=remaining.p)
 
     n_sub = max(1, int(round(args.ratio * remaining.n)))
-    sub = subsample(remaining, n_sub, RngStream(args.seed, 1))
+    sub = subsample(remaining, n_sub, sub_rng)
     st_r = compute_stats(remaining)
     pb = pooled_problem(st_r, compute_stats(sub), forget_stats(forget, sub.p), sub)
-    cv_rng = RngStream(args.seed, 2)  # shared, so every tuned method scores the same folds
-
-    def run_one(name):
-        start = time.perf_counter()
-        try:
-            value, error = mpe(method_theta(name, pb, st_r, spec, cv_rng), test), None
-        except UlsError as exc:  # a failed method, as in simulate: the rest stand
-            value, error = math.nan, exc
-        millis = (time.perf_counter() - start) * 1e3
-        return name, value, millis, error
-
-    with blas_single_threaded():  # as in simulate
-        rows = [run_one(name) for name in methods]
+    score = partial(mpe, test=test)
+    with blas_single_threaded():  # as in simulate; tuned methods share cv_rng's folds
+        records = [run_method(name, pb, st_r, spec, cv_rng, None, score)
+                   for name in methods]
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("method,mpe,millis\n")
-        for name, value, millis, _ in rows:
-            cell = format(millis, ".17g") if args.timing else ""
-            fh.write(f"{name},{value:.17g},{cell}\n")
-    failed = [(name, error) for name, _, _, error in rows if error is not None]
-    for name, error in failed:
-        prefix = "" if str(error).startswith(f"{name}: ") else f"{name}: "  # as cv_select's
-        print(f"{type(error).__name__}: {prefix}{error}", file=sys.stderr)
-    print(f"wrote {args.out} ({len(rows)} methods)")
+        for r in records:
+            value = float("nan") if r.error is None else r.error
+            cell = format(r.millis, ".17g") if args.timing else ""
+            fh.write(f"{r.method},{value:.17g},{cell}\n")
+    failed = [(r.method, *r.failure) for r in records if r.failure is not None]
+    for name, kind, message in failed:
+        prefix = "" if message.startswith(f"{name}: ") else f"{name}: "  # as cv_select's
+        print(f"{kind}: {prefix}{message}", file=sys.stderr)
+    print(f"wrote {args.out} ({len(records)} methods)")
     return EXIT_NUMERIC if failed else EXIT_OK
 
 

@@ -14,6 +14,7 @@ import ctypes
 import math
 import os
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 
@@ -220,14 +221,19 @@ class RngStream:
     Two streams constructed with equal identifiers replay the same sequence
     on any platform and under any thread schedule. Streams are single-owner:
     parallel code derives sibling streams by choosing distinct stream ids,
-    never by sharing one instance.
+    never by sharing one instance. The generator is built at the first draw.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
+        if int(seed) < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+
+    @cached_property  # importing numpy.random early adds to a later read's peak memory
+    def _gen(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(seq))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -18,6 +18,8 @@ that need them.
 Every replication owns child random streams keyed by its index, so its
 results do not depend on which replications ran before it, and the truth
 vector is drawn once per experiment unless per-rep redraws are requested.
+Each method runs through :func:`run_method`, which ``uls bench`` shares, so
+a method fails the same way in a simulation and in a bench.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ class RepRecord:
     covered: bool | None
     sd_hat: float | None
     millis: float
+    failure: tuple[str, str] | None = None  # (error class, message); not written
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,9 @@ class SimSummary:
     methods: dict
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
-        methods = {}
-        for name, agg in self.methods.items():
-            agg = dict(agg)
-            if not include_timing:
-                agg.pop("mean_millis", None)
-            methods[name] = agg
+        methods = {name: {key: value for key, value in agg.items()
+                          if include_timing or key != "mean_millis"}
+                   for name, agg in self.methods.items()}
         return {"config": self.config, "methods": methods}
 
 
@@ -236,29 +236,42 @@ def pooled_problem(st_r, st_sub, st_f, sub: Dataset) -> Problem:
     return Problem(model=model, st_sub=st_sub, st_f=st_f, sub=sub)
 
 
-def method_theta(name: str, pb: Problem, st_r, spec, cv_rng, oracle=None) -> np.ndarray:
-    """Coefficients of one method of :data:`METHODS` on a prepared problem.
-
-    retrain is least squares on the remaining rows, given by their statistics
-    ``st_r``; pretrain is the model's own fit. Every other name goes through
-    the solver table. A tuned solver takes its lambda from ``oracle[name]``
-    when ``spec``, the CV search, is None, and from ``cv_select`` on the
-    folds of ``cv_rng`` otherwise.
-    """
-    if name == "retrain":
-        return ols_theta(st_r)
-    if name == "pretrain":
-        return pb.theta_p
-    solver = SOLVERS[name]
-    lam = None
-    if solver.tuned:
-        lam = oracle[name] if spec is None else cv_select(name, pb, spec, cv_rng)[0]
-    return solver.fit(pb, lam).theta
+def run_method(name: str, pb: Problem, st_r, spec, cv_rng, oracle, score,
+               interval=None, rep: int = 0) -> RepRecord:
+    """Fit and time one method of :data:`METHODS`; its record's ``error`` is
+    ``score(theta)``. retrain is least squares on the remaining statistics
+    ``st_r``, pretrain the model's own fit, and every other name a solver of
+    the table, a tuned one with its lambda from ``oracle[name]`` when ``spec``,
+    the CV search, is None, else from ``cv_select`` on ``cv_rng``'s folds.
+    With ``interval = (v, truth, alpha)``, a method of :data:`INTERVALS` also
+    records its sd and whether its interval for v'theta covers ``truth``. A
+    ``UlsError`` is kept as ``failure``: a failed fit blanks every cell, a
+    failed interval only its own."""
+    start = time.perf_counter()
+    error = covered = sd_hat = failure = None
+    try:
+        if name in SOLVERS:
+            solver = SOLVERS[name]
+            lam = None
+            if solver.tuned:
+                lam = oracle[name] if spec is None else cv_select(name, pb, spec, cv_rng)[0]
+            theta = solver.fit(pb, lam).theta
+        else:
+            theta = ols_theta(st_r) if name == "retrain" else pb.theta_p
+        error = score(theta)
+        if interval is not None and name in INTERVALS:
+            v, truth, alpha = interval
+            report = INTERVALS[name](pb, theta, v, alpha)
+            covered = report.ci_lo <= truth <= report.ci_hi
+            sd_hat = float(np.sqrt(report.variance))
+    except UlsError as exc:
+        failure = (type(exc).__name__, str(exc))
+    millis = (time.perf_counter() - start) * 1e3
+    return RepRecord(rep, name, error, covered, sd_hat, millis, failure)
 
 
 def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle, spec) -> list:
-    """One replication's records; a tuned method's lambda is chosen as in
-    :func:`method_theta`."""
+    """One replication's records, each method scored by its distance to theta_r."""
     data_rng = RngStream(cfg.seed, 1 + 2 * rep)
     cv_rng = RngStream(cfg.seed, 2 + 2 * rep)
     if cfg.redraw_truth:
@@ -268,24 +281,13 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle, spec) -> list:
     v_idx = cfg.v_direction - 1
     v = np.zeros(cfg.p)
     v[v_idx] = 1.0
-    truth = float(theta_r[v_idx])
+    interval = (v, float(theta_r[v_idx]), cfg.alpha)
 
-    records = []
-    for name in cfg.methods:
-        start = time.perf_counter()
-        error = covered = sd_hat = None
-        try:
-            theta = method_theta(name, pb, st_r, spec, cv_rng, oracle)
-            error = safe_norm(theta - theta_r)  # stands if only the interval fails
-            if name in INTERVALS:
-                report = INTERVALS[name](pb, theta, v, cfg.alpha)
-                covered = report.ci_lo <= truth <= report.ci_hi
-                sd_hat = float(np.sqrt(report.variance))
-        except UlsError:
-            pass
-        millis = (time.perf_counter() - start) * 1e3
-        records.append(RepRecord(rep, name, error, covered, sd_hat, millis))
-    return records
+    def score(theta):
+        return safe_norm(theta - theta_r)
+
+    return [run_method(name, pb, st_r, spec, cv_rng, oracle, score, interval, rep)
+            for name in cfg.methods]
 
 
 def run_experiment(cfg: SimConfig):
@@ -300,11 +302,8 @@ def run_experiment(cfg: SimConfig):
     spec = None if cfg.oracle_lambda else search_spec(
         cfg.methods, cfg.cv_folds, cfg.cv_grid_lo, cfg.cv_grid_hi, cfg.cv_grid_size)
     with blas_single_threaded():
-        records = [
-            record
-            for rep in range(cfg.reps)
-            for record in _run_rep(cfg, rep, theta_r, theta_f, oracle, spec)
-        ]
+        records = [record for rep in range(cfg.reps)
+                   for record in _run_rep(cfg, rep, theta_r, theta_f, oracle, spec)]
     return records, summarize(cfg, records)
 
 

@@ -796,6 +796,9 @@ def test_unlearn_cv_table_without_a_search_exit_code(tmp_path, flags, capsys):
      "need at least two grid points, got 1"),
     (["infer", "--method", "ols", "--coord", "1", "--alpha", "1.5"],
      "alpha must lie in (0, 1), got 1.5"),
+    (["bench", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["unlearn", "--method", "uls+", "--cv-seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
 ])
 def test_flag_is_checked_before_any_file_is_read(tmp_path, argv, message, capsys):
     # none of the inputs exists: the flag's own error comes first
@@ -823,6 +826,7 @@ def test_flag_is_checked_before_any_file_is_read(tmp_path, argv, message, capsys
     ("simulate", ["--v-coord", "0"], "v_direction must index a coordinate"),
     ("simulate", ["--rho", "1"], "rho must lie in (-1, 1)"),
     ("simulate", ["--methods", "uls+", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
+    ("simulate", ["--seed", "-1"], "seed must be a non-negative integer"),
 ])
 def test_bad_flag_value_exit_code(p3_example, command, flags, prefix, capsys):
     paths, tmp = p3_example
@@ -849,6 +853,19 @@ def test_unlearn_ignores_the_gd_controls_of_another_method(p3_example, method, f
     plain, given = tmp / "plain.json", tmp / "given.json"
     assert main(["unlearn", *io, "--out", str(plain)]) == 0
     assert main(["unlearn", *io, *flag, "--out", str(given)]) == 0
+    assert given.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("method", [["uls"], ["uls+", "--lam", "2"],
+                                    ["uls+", "--lam-rule", "plugin"]],
+                         ids=["uls", "uls+ lam", "uls+ plugin"])
+def test_unlearn_ignores_the_cv_seed_without_a_search(p3_example, method):
+    paths, tmp = p3_example
+    io = ["--model", str(paths["model"]), "--forget", str(paths["forget"]),
+          "--sub", str(paths["sub"]), "--method", *method]
+    plain, given = tmp / "plain.json", tmp / "given.json"
+    assert main(["unlearn", *io, "--out", str(plain)]) == 0
+    assert main(["unlearn", *io, "--cv-seed", "-1", "--out", str(given)]) == 0
     assert given.read_bytes() == plain.read_bytes()
 
 
@@ -906,6 +923,20 @@ def test_cli_start_up_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_a_stream_imports_numpy_random_only_at_its_first_draw():
+    # bench and unlearn build their streams before reading any file; the
+    # import must wait, or its memory would add to the read's peak
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, ulskit.cli; rng = ulskit.RngStream(0, 1); "
+            "print('numpy.random' in sys.modules); rng.uniform(1); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_header_only_pretrain_exit_code(tmp_path, capsys):

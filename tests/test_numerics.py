@@ -200,6 +200,20 @@ def test_rng_streams_differ_by_id():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_rng_stream_rejects_a_negative_seed(seed):
+    message = f"^seed must be a non-negative integer, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        RngStream(seed, 2)
+
+
+def test_rng_stream_draws_match_numpys_philox_stream():
+    # the generator is built on the first draw, from the same seed sequence
+    seq = np.random.SeedSequence(entropy=7, spawn_key=(3,))
+    expected = np.random.Generator(np.random.Philox(seq)).standard_normal(16)
+    assert np.array_equal(RngStream(7, 3).standard_normal(16), expected)
+
+
 def test_max_eigenvalue_when_ones_is_an_eigenvector():
     # the all-ones vector is the lambda = 1 eigenvector here, so a power
     # iteration started from it never sees lambda = 2

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,15 @@ from ulskit import (
     write_records,
 )
 from ulskit import cli, simulation
-from ulskit.numerics import _openblas_thread_controls, ar1_covariance
-from ulskit.simulation import SimConfig, _run_rep, draw_rep_stats
+from ulskit.estimators import ols_theta
+from ulskit.numerics import _openblas_thread_controls, ar1_covariance, safe_norm
+from ulskit.simulation import (
+    SimConfig,
+    _run_rep,
+    draw_rep_stats,
+    pooled_problem,
+    run_method,
+)
 
 
 def small_config(**overrides):
@@ -130,7 +138,7 @@ def test_pool_runs_blas_single_threaded_and_restores_it(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(simulation, "_run_rep", watched(simulation._run_rep))
-    monkeypatch.setattr(cli, "method_theta", watched(cli.method_theta))
+    monkeypatch.setattr(cli, "run_method", watched(cli.run_method))
     rng = RngStream(8, 0)
     for name, n in (("remaining", 300), ("forget", 30), ("test", 50)):
         x = rng.standard_normal((n, 3))
@@ -316,6 +324,56 @@ def test_run_rep_full_ratio_uls_is_retrain_under_shift():
     errors = {r.method: r.error for r in _run_rep(cfg, 0, theta_r, theta_f, {}, None)}
     assert errors["uls"] == pytest.approx(errors["retrain"], abs=1e-10)
     assert abs(errors["pretrain"] - errors["retrain"]) > 1e-3
+
+
+def _first_rep(cfg):
+    """Replication 0 of ``cfg`` as (problem, st_r, theta_r, interval)."""
+    theta_r, theta_f = draw_truth(cfg, RngStream(cfg.seed, 0))
+    st_r, st_sub, st_f, sub = draw_rep_stats(cfg, theta_r, theta_f, RngStream(cfg.seed, 1))
+    v = np.eye(cfg.p)[cfg.v_direction - 1]
+    interval = (v, float(v @ theta_r), cfg.alpha)
+    return pooled_problem(st_r, st_sub, st_f, sub), st_r, theta_r, interval
+
+
+def test_run_method_blanks_every_cell_when_the_fit_fails():
+    # n_sub = 4 rows cannot identify p = 8 coefficients
+    cfg = small_config(n_r=200, n_f=20, p=8, subsample_ratio=0.02)
+    pb, st_r, theta_r, interval = _first_rep(cfg)
+    assert pb.st_sub.n == 4
+
+    def score(theta):
+        return safe_norm(theta - theta_r)
+
+    record = run_method("uls", pb, st_r, None, None, {}, score, interval, rep=3)
+    assert (record.rep, record.method) == (3, "uls")
+    assert record.error is record.covered is record.sd_hat is None
+    assert record.failure[0] == "SingularGram" and "n=4" in record.failure[1]
+    retrain = run_method("retrain", pb, st_r, None, None, {}, score, interval)
+    assert retrain.error == score(ols_theta(st_r)) and retrain.failure is None
+
+
+def test_run_method_keeps_the_error_when_only_the_interval_fails():
+    # uls fits, but its interval variance overflows at delta = 1e160
+    cfg = small_config(n_r=200, n_f=20, p=3, subsample_ratio=0.2, delta=1e160, seed=0)
+    pb, st_r, theta_r, interval = _first_rep(cfg)
+    record = run_method("uls", pb, st_r, None, None, {},
+                        lambda theta: safe_norm(theta - theta_r), interval)
+    assert 1e157 < record.error < 1e160
+    assert record.covered is record.sd_hat is None
+    assert record.failure[0] == "SingularGram"
+
+
+def test_run_method_names_the_same_failure_under_an_mpe_score():
+    cfg = small_config(n_r=200, n_f=20, p=8, subsample_ratio=0.02)
+    pb, st_r, theta_r, _ = _first_rep(cfg)
+    rng = RngStream(4, 0)
+    x = rng.standard_normal((30, cfg.p))
+    test = Dataset(x, x @ theta_r + rng.standard_normal(30), "test")
+    record = run_method("uls", pb, st_r, None, None, {}, partial(mpe, test=test))
+    assert record.error is record.covered is record.sd_hat is None
+    assert record.failure[0] == "SingularGram"
+    retrain = run_method("retrain", pb, st_r, None, None, {}, partial(mpe, test=test))
+    assert retrain.error == mpe(ols_theta(st_r), test) and retrain.failure is None
 
 
 @pytest.mark.parametrize(

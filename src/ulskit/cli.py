@@ -4,9 +4,10 @@ Subcommands: pretrain | unlearn | infer | simulate | bench. Exit codes are a
 stable contract: 0 on success, 2 on input/IO problems (missing files, parse
 or schema errors, bad flag values), 3 on numerical or method failures
 (singular Gram matrices, indefinite objectives, divergence, ...). Structured
-error names go to stderr. simulate and bench run in the calling thread and
-fit each method through simulation.run_method, so a method fails the same way
-in both; their --threads is validated but does not change how a run executes.
+error names go to stderr. simulate and bench fit each method through
+simulation.run_method, so a method fails the same way in both. simulate's
+--threads is its number of worker processes; bench checks its --threads and
+runs its methods in the calling process.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .simulation import (
     pooled_problem,
     run_experiment,
     run_method,
+    worker_count,
     write_records,
 )
 from .tuning import (
@@ -57,12 +59,15 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-THREADS_HELP = ("a non-negative integer, accepted for compatibility; the run"
-                " uses one worker whatever its value")
+SIMULATE_THREADS_HELP = ("worker processes, a non-negative integer; 0 or absent"
+                         " means all available CPUs, and the count is capped at"
+                         " the CPUs and --reps")
+BENCH_THREADS_HELP = ("a non-negative integer, checked; bench runs its methods in"
+                      " the calling process whatever its value")
 
 
 def _check_threads(args) -> None:
-    """--threads is a non-negative integer; runs use one worker whatever it is."""
+    """--threads is a non-negative integer."""
     if args.threads is not None and args.threads < 0:
         raise ValueError(f"--threads must be a non-negative integer, got {args.threads}")
 
@@ -167,7 +172,7 @@ def _cmd_simulate(args) -> int:
     cfg = SimConfig(**given)
 
     _check_threads(args)
-    records, summary = run_experiment(cfg)
+    records, summary = run_experiment(cfg, worker_count(args.threads, cfg.reps))
     write_records(records, args.records, include_timing=args.timing)
     save_json(summary.to_json_dict(args.timing), args.summary)
     print(f"wrote {args.records} and {args.summary} ({cfg.reps} replications)")
@@ -284,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the theory-guided lambda rules instead of CV")
     s.add_argument("--redraw-truth", action="store_true")
     _add_cv_flags(s, with_defaults=False)
-    s.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
+    s.add_argument("--threads", type=int, default=None, help=SIMULATE_THREADS_HELP)
     s.add_argument("--timing", action="store_true", default=False,
                    help="fill the millis columns (breaks byte reproducibility)")
     s.add_argument("--records", required=True)
@@ -299,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--methods", default=None)
     _add_cv_flags(b)
-    b.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
+    b.add_argument("--threads", type=int, default=None, help=BENCH_THREADS_HELP)
     b.add_argument("--timing", action="store_true")
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_bench)

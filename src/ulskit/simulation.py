@@ -16,14 +16,19 @@ O((n_r + n_f) p). :func:`generate_rep` still draws every row, for checks
 that need them.
 
 Every replication owns child random streams keyed by its index, so its
-results do not depend on which replications ran before it, and the truth
-vector is drawn once per experiment unless per-rep redraws are requested.
-Each method runs through :func:`run_method`, which ``uls bench`` shares, so
-a method fails the same way in a simulation and in a bench.
+results do not depend on which replications ran before it or on which
+process runs it, and the truth vector is drawn once per experiment unless
+per-rep redraws are requested. :func:`run_experiment` can therefore split the
+replications into contiguous chunks and run all but the first in forked
+worker processes. Each method runs through :func:`run_method`, which
+``uls bench`` shares, so a method fails the same way in a simulation and in
+a bench.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -290,20 +295,115 @@ def _run_rep(cfg: SimConfig, rep: int, theta_r, theta_f, oracle, spec) -> list:
             for name in cfg.methods]
 
 
-def run_experiment(cfg: SimConfig):
-    """Run all replications in order; returns (records, summary).
+def available_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    BLAS runs single-threaded meanwhile: on a replication's small matrices
-    its own threads mostly spin.
+
+def worker_count(threads, reps: int) -> int:
+    """Processes for ``reps`` replications when ``threads`` are asked for:
+    None or 0 asks for every available CPU, and the count never exceeds the
+    available CPUs or ``reps``."""
+    if threads is not None and threads < 0:
+        raise ValueError(f"the worker count must be a non-negative integer, got {threads}")
+    cpus = available_cpus()
+    return min(threads or cpus, cpus, reps)
+
+
+def _child(fn, chunk, reader, writer) -> None:
+    """In a forked child: send ``fn(chunk)``, or the exception it raised,
+    pickled through the pipe end ``writer``, and leave the process without
+    running any exit handler. If even that fails, the parent reads nothing."""
+    try:
+        os.close(reader)
+        try:
+            payload = pickle.dumps((True, fn(chunk)))
+        except BaseException as exc:
+            payload = pickle.dumps((False, exc))
+        with open(writer, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _forked_map(fn, chunks) -> list:
+    """``[fn(chunk) for chunk in chunks]``, each chunk after the first in a
+    forked child that sends its pickled result back through a pipe. A child's
+    exception is raised here with its type. If anything goes wrong, every
+    child not yet waited for is killed and waited for before the error
+    propagates."""
+    children = []  # (pid, read end of its pipe) of each child not yet waited for
+    try:
+        for chunk in chunks[1:]:
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                _child(fn, chunk, reader, writer)
+            os.close(writer)
+            children.append((pid, open(reader, "rb")))
+        results = [fn(chunks[0])]
+        while children:
+            pid, fh = children[0]
+            with fh:  # to EOF before waiting: a result can outgrow the pipe buffer
+                payload = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not payload:
+                raise ChildProcessError(
+                    f"simulation worker {pid} ended without its records (status {status})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        if children:
+            import signal  # only a failed or interrupted run gets here
+
+            for pid, fh in children:
+                fh.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # already reaped
+                    pass
+
+
+def run_experiment(cfg: SimConfig, workers: int = 1):
+    """Run all replications; returns (records, summary), records in rep order.
+
+    ``workers`` processes share the replications, capped by
+    :func:`worker_count` (so 0 or None means every available CPU). The
+    replications are cut into that many contiguous chunks: this process runs
+    the first and a forked child each other one. With one worker, or where
+    ``os.fork`` is missing, they all run here. Records and summary are the
+    same for every worker count, since each replication draws from streams
+    keyed by its index.
     """
     truth_rng = RngStream(cfg.seed, 0)
     theta_r, theta_f = draw_truth(cfg, truth_rng)
     oracle = _oracle_lambdas(cfg)
     spec = None if cfg.oracle_lambda else search_spec(
         cfg.methods, cfg.cv_folds, cfg.cv_grid_lo, cfg.cv_grid_hi, cfg.cv_grid_size)
-    with blas_single_threaded():
-        records = [record for rep in range(cfg.reps)
-                   for record in _run_rep(cfg, rep, theta_r, theta_f, oracle, spec)]
+
+    def run(reps) -> list:
+        # BLAS single-threaded: on a replication's small matrices its own
+        # threads mostly spin
+        with blas_single_threaded():
+            return [record for rep in reps
+                    for record in _run_rep(cfg, rep, theta_r, theta_f, oracle, spec)]
+
+    workers = worker_count(workers, cfg.reps) if hasattr(os, "fork") else 1
+    chunks = [range(cfg.reps * k // workers, cfg.reps * (k + 1) // workers)
+              for k in range(workers)]
+    records = [record for part in _forked_map(run, chunks) for record in part]
     return records, summarize(cfg, records)
 
 

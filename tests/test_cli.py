@@ -328,7 +328,7 @@ class _Configured(Exception):
 
 
 def _simulate_config(monkeypatch, tmp_path, flags):
-    def stop(cfg):
+    def stop(cfg, *args):
         raise _Configured(cfg)
 
     monkeypatch.setattr("ulskit.cli.run_experiment", stop)

@@ -1,7 +1,10 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -162,6 +165,146 @@ def test_pool_runs_blas_single_threaded_and_restores_it(tmp_path, monkeypatch):
     finally:
         for (_, put), count in zip(controls, before):
             put(count)
+
+
+def _without_millis(records):
+    return [replace(r, millis=0.0) for r in records]
+
+
+@contextmanager
+def _within(seconds):
+    """Fail the block, rather than hang the suite, when it runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    # raises when this process has no child at all, running or a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _simulate_flags(tmp_path, tag, reps, threads):
+    return ["simulate", "--nr", "400", "--nf", "40", "--p", "5", "--ratio", "0.3",
+            "--reps", str(reps), "--seed", "123", "--methods", "uls,uls+,tl",
+            "--threads", str(threads), "--records", str(tmp_path / f"{tag}.csv"),
+            "--summary", str(tmp_path / f"{tag}.json")]
+
+
+@pytest.mark.parametrize("threads, cpus, reps, expected", [
+    (None, 4, 10, 4), (0, 4, 10, 4), (3, 4, 10, 3), (8, 4, 10, 4), (8, 4, 2, 2),
+    (1, 4, 10, 1),
+])
+def test_worker_count_is_capped_at_the_cpus_and_reps(monkeypatch, threads, cpus, reps,
+                                                     expected):
+    monkeypatch.setattr(simulation, "available_cpus", lambda: cpus)
+    assert simulation.worker_count(threads, reps) == expected
+
+
+def test_a_negative_worker_count_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_experiment(small_config(reps=2), -1)
+
+
+def test_a_huge_worker_count_forks_at_most_one_child_per_extra_cpu(monkeypatch):
+    cfg = small_config(reps=3)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    records, summary = run_experiment(cfg, 10**9)
+    assert len(forks) == min(simulation.available_cpus(), 3) - 1
+    _assert_no_child_left()
+    inline, inline_summary = run_experiment(cfg, 1)
+    assert _without_millis(records) == _without_millis(inline)
+    assert summary.to_json_dict() == inline_summary.to_json_dict()
+
+
+def test_simulate_with_a_huge_threads_value_writes_the_one_worker_bytes(tmp_path):
+    assert cli.main(_simulate_flags(tmp_path, "huge", 3, 1_000_000)) == 0
+    assert cli.main(_simulate_flags(tmp_path, "one", 3, 1)) == 0
+    for suffix in (".csv", ".json"):
+        assert ((tmp_path / f"huge{suffix}").read_bytes()
+                == (tmp_path / f"one{suffix}").read_bytes())
+    _assert_no_child_left()
+
+
+def test_a_worker_result_beyond_the_pipe_buffer_comes_back_whole(monkeypatch):
+    # each replication's record carries 100 kB, more than a pipe holds
+    def big_rep(cfg, rep, *shared):
+        return [simulation.RepRecord(rep, "uls", 1.0, None, None, 0.0, ("X", "y" * 100_000))]
+
+    monkeypatch.setattr(simulation, "_run_rep", big_rep)
+    monkeypatch.setattr(simulation, "available_cpus", lambda: 2)
+    with _within(60):
+        records, _ = run_experiment(small_config(reps=4, methods=("uls",)), 2)
+    assert [r.rep for r in records] == [0, 1, 2, 3]
+    assert all(len(r.failure[1]) == 100_000 for r in records)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["last", "first"])
+def test_a_failing_replication_raises_as_inline_and_leaves_no_child(
+        monkeypatch, tmp_path, capsys, failing):
+    # the last replication runs in a forked child, the first in this process
+    reps = 4
+    bad = reps - 1 if failing == "last" else 0
+    real_run_rep = simulation._run_rep
+
+    def run_rep(cfg, rep, *shared):
+        if rep == bad:
+            raise ValueError("boom")
+        return real_run_rep(cfg, rep, *shared)
+
+    monkeypatch.setattr(simulation, "_run_rep", run_rep)
+    monkeypatch.setattr(simulation, "available_cpus", lambda: 2)
+    for workers in (1, 2):
+        with _within(60), pytest.raises(ValueError, match="^boom$"):
+            run_experiment(small_config(reps=reps), workers)
+        _assert_no_child_left()
+    assert cli.main(_simulate_flags(tmp_path, failing, reps, 2)) == 2
+    assert capsys.readouterr().err == "ValueError: boom\n"
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_its_records_is_an_error(monkeypatch):
+    parent = os.getpid()
+    real_run_rep = simulation._run_rep
+
+    def run_rep(cfg, rep, *shared):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_run_rep(cfg, rep, *shared)
+
+    monkeypatch.setattr(simulation, "_run_rep", run_rep)
+    monkeypatch.setattr(simulation, "available_cpus", lambda: 2)
+    with _within(60), pytest.raises(ChildProcessError, match="without its records"):
+        run_experiment(small_config(reps=4), 2)
+    _assert_no_child_left()
+
+
+def test_forking_simulate_raises_no_deprecation_warning(tmp_path):
+    # Python 3.12 warns when a process with threads forks
+    env = dict(os.environ)
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-m", "ulskit.cli",
+         *_simulate_flags(tmp_path, "warn", 4, 2)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_retrain_beats_pretrain_under_shift():

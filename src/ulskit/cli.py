@@ -72,16 +72,15 @@ def _check_threads(args) -> None:
         raise ValueError(f"--threads must be a non-negative integer, got {args.threads}")
 
 
-def _add_cv_flags(parser, with_defaults: bool = True) -> None:
-    """The CV flags, under SimConfig's cv_* names. They default to tuning's
-    search, except for simulate, whose absent flags leave its config to decide."""
+def _add_cv_flags(parser) -> None:
+    """The CV flags, under SimConfig's cv_* names, defaulting to tuning's search
+    (which SimConfig's cv_* defaults are too)."""
     parser.add_argument("--folds", dest="cv_folds", type=int)
     parser.add_argument("--grid-lo", dest="cv_grid_lo", type=float)
     parser.add_argument("--grid-hi", dest="cv_grid_hi", type=float)
     parser.add_argument("--grid-size", dest="cv_grid_size", type=int)
-    if with_defaults:
-        parser.set_defaults(cv_folds=CV_FOLDS, cv_grid_lo=CV_GRID_LO,
-                            cv_grid_hi=CV_GRID_HI, cv_grid_size=CV_GRID_SIZE)
+    parser.set_defaults(cv_folds=CV_FOLDS, cv_grid_lo=CV_GRID_LO,
+                        cv_grid_hi=CV_GRID_HI, cv_grid_size=CV_GRID_SIZE)
 
 
 def _cmd_pretrain(args) -> int:
@@ -269,6 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_infer)
 
     # a config flag is stored under its SimConfig field name, and only if given
+    # (the CV flags always, at defaults equal to SimConfig's own)
     s = sub.add_parser("simulate", help="Monte Carlo study of the estimators",
                        argument_default=argparse.SUPPRESS)
     s.add_argument("--preset", choices=["table1"], default=None,
@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle-lambda", action="store_true",
                    help="use the theory-guided lambda rules instead of CV")
     s.add_argument("--redraw-truth", action="store_true")
-    _add_cv_flags(s, with_defaults=False)
+    _add_cv_flags(s)
     s.add_argument("--threads", type=int, default=None, help=SIMULATE_THREADS_HELP)
     s.add_argument("--timing", action="store_true", default=False,
                    help="fill the millis columns (breaks byte reproducibility)")

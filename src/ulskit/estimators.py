@@ -109,12 +109,12 @@ class GdConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 def _spd_factor(st: SufficientStats) -> np.ndarray:

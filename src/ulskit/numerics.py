@@ -4,15 +4,16 @@ Everything downstream funnels its SPD solves through :func:`cholesky` /
 :func:`spd_solve` so that near-singular Gram matrices surface as explicit
 errors instead of silently regularized answers, and draws its randomness
 through :class:`RngStream` so that identical (seed, stream_id) pairs replay
-bit-identical sequences. :func:`blas_single_threaded` keeps numpy's BLAS
-from starting threads of its own while a simulation or bench runs.
+bit-identical sequences. :func:`blas_single_threaded` keeps numpy's
+OpenBLAS, found through numpy's own core extension, from starting threads of
+its own while a simulation or bench runs.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
+import sys
 from contextlib import contextmanager
 from functools import cached_property
 
@@ -133,61 +134,48 @@ def pencil_eigh(lower: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.linalg.solve(lower.T, w)
 
 
-class _PhdrInfo(ctypes.Structure):
-    # the leading fields of glibc's struct dl_phdr_info
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-
-_VISIT = ctypes.CFUNCTYPE(
-    ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
-)
+def _numpy_blas():
+    """A ctypes handle to numpy's core extension, or None where it cannot be
+    had. ``dlsym`` on the handle also searches the libraries the extension
+    loaded, so numpy's BLAS symbols resolve through it. numpy 1.x keeps the
+    extension under ``numpy.core``."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return ctypes.CDLL(sys.modules[name].__file__)
+        except (KeyError, AttributeError, OSError):
+            pass
+    return None
 
 
 def _openblas_thread_controls() -> list:
-    """(get, set) thread-count functions of each OpenBLAS the process has loaded.
+    """[(get, set)]: the thread-count functions of numpy's OpenBLAS, found
+    through :func:`_numpy_blas`.
 
-    numpy's wheels bundle one, under the symbol prefix ``scipy_openblas``
+    numpy's wheels bundle OpenBLAS under the symbol prefix ``scipy_openblas``
     (older wheels: ``openblas``), with a ``64_`` suffix for the
-    64-bit-integer build. Empty where the loader cannot be asked for its
-    libraries (no ``dl_iterate_phdr``) or none is OpenBLAS.
+    64-bit-integer build. Empty where numpy's BLAS is not OpenBLAS (MKL,
+    Accelerate) or the handle cannot be had.
     """
-    try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-    except (OSError, AttributeError, TypeError):
-        return []
-    iterate.restype, iterate.argtypes = ctypes.c_int, [_VISIT, ctypes.c_void_p]
-    paths = []
-
-    def visit(info, size, data):
-        name = info.contents.name
-        if name and b"openblas" in os.path.basename(name).lower():
-            paths.append(os.fsdecode(name))
-        return 0
-
-    callback = _VISIT(visit)  # referenced until the loader is done with it
-    iterate(callback, None)
-    controls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)  # already loaded: this only takes a handle
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    put.restype, put.argtypes = None, [ctypes.c_int]
-                    controls.append((get, put))
-    return controls
+    lib = _numpy_blas()
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return [(get, put)]
+    return []
 
 
 @contextmanager
 def blas_single_threaded():
-    """Run the block with OpenBLAS limited to one thread.
+    """Run the block with numpy's OpenBLAS limited to one thread.
 
     On the small matrices of a replication or a bench method, BLAS threads
     mostly spin waiting for work, which costs CPU time and gains no speed.
-    The previous counts are restored on exit. Where no OpenBLAS is found this
-    does nothing.
+    The previous count is restored on exit. Where
+    :func:`_openblas_thread_controls` finds no OpenBLAS this does nothing.
     """
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]

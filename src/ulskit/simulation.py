@@ -100,8 +100,8 @@ class SimConfig:
             raise ValueError("reps must be >= 1")
         if self.n_r < 1 or self.p < 1 or self.n_f < 0:
             raise ValueError("invalid sample sizes")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
+        if not 0.0 <= self.delta < np.inf:
+            raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
         if not 1 <= self.v_direction <= self.p:
             raise ValueError("v_direction must index a coordinate (1-based)")
         check_alpha(self.alpha)

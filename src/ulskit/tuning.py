@@ -61,6 +61,8 @@ def log_grid(lo: float, hi: float, k: int) -> list[float]:
     """k log-uniform candidates from lo to hi, endpoints exact."""
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
+    if math.isinf(hi):
+        raise ValueError(f"grid bounds must be finite, got hi={hi}")
     if k < 2:
         raise ValueError(f"need at least two grid points, got {k}")
     return [float(v) for v in np.geomspace(lo, hi, k)]

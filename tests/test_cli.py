@@ -827,6 +827,24 @@ def test_flag_is_checked_before_any_file_is_read(tmp_path, argv, message, capsys
     ("simulate", ["--rho", "1"], "rho must lie in (-1, 1)"),
     ("simulate", ["--methods", "uls+", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
     ("simulate", ["--seed", "-1"], "seed must be a non-negative integer"),
+    ("unlearn", ["--method", "gd", "--alpha", "nan"],
+     "alpha must be positive and finite, got nan"),
+    ("unlearn", ["--method", "gd", "--alpha", "inf"],
+     "alpha must be positive and finite, got inf"),
+    ("unlearn", ["--method", "gd", "--grad-tol", "nan"],
+     "grad_tol must be positive and finite, got nan"),
+    ("unlearn", ["--method", "gd", "--grad-tol", "inf"],
+     "grad_tol must be positive and finite, got inf"),
+    ("unlearn", ["--method", "uls+", "--grid-hi", "inf"],
+     "grid bounds must be finite, got hi=inf"),
+    ("unlearn", ["--method", "uls+", "--grid-hi", "inf", "--grid-size", "2"],
+     "grid bounds must be finite, got hi=inf"),
+    ("unlearn", ["--method", "tl", "--grid-hi", "inf", "--grid-size", "2"],
+     "grid bounds must be finite, got hi=inf"),
+    ("unlearn", ["--method", "graddiff", "--grid-hi", "inf", "--grid-size", "2"],
+     "grid bounds must be finite, got hi=inf"),
+    ("simulate", ["--delta", "nan"], "delta must be >= 0 and finite, got nan"),
+    ("simulate", ["--delta", "inf"], "delta must be >= 0 and finite, got inf"),
 ])
 def test_bad_flag_value_exit_code(p3_example, command, flags, prefix, capsys):
     paths, tmp = p3_example

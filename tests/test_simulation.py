@@ -25,9 +25,14 @@ from ulskit import (
     save_csv,
     write_records,
 )
-from ulskit import cli, simulation
+from ulskit import cli, numerics, simulation
 from ulskit.estimators import ols_theta
-from ulskit.numerics import _openblas_thread_controls, ar1_covariance, safe_norm
+from ulskit.numerics import (
+    _openblas_thread_controls,
+    ar1_covariance,
+    blas_single_threaded,
+    safe_norm,
+)
 from ulskit.simulation import (
     SimConfig,
     _run_rep,
@@ -165,6 +170,27 @@ def test_pool_runs_blas_single_threaded_and_restores_it(tmp_path, monkeypatch):
     finally:
         for (_, put), count in zip(controls, before):
             put(count)
+
+
+def test_no_openblas_found_leaves_blas_alone_and_the_records_equal(monkeypatch):
+    # an MKL or Accelerate numpy, or a failed handle lookup: the thread control
+    # finds nothing, does nothing, and the pool still gives the inline records
+    real = _openblas_thread_controls()
+    before = [get() for get, _ in real]
+
+    def no_library(*args, **kwargs):
+        raise OSError("cannot load library")
+
+    monkeypatch.setattr(numerics.ctypes, "CDLL", no_library)
+    monkeypatch.setattr(simulation, "available_cpus", lambda: 2)
+    assert _openblas_thread_controls() == []
+    with blas_single_threaded():
+        assert [get() for get, _ in real] == before
+    cfg = small_config(reps=4, methods=("uls", "tl"))
+    inline, _ = run_experiment(cfg, 1)
+    pooled, _ = run_experiment(cfg, 2)
+    assert _without_millis(pooled) == _without_millis(inline)
+    assert [get() for get, _ in real] == before
 
 
 def _without_millis(records):

@@ -18,6 +18,7 @@ from .data_model import (
     save_csv,
     save_json,
     save_model,
+    save_table,
     subsample,
 )
 from .errors import (
@@ -53,10 +54,8 @@ from .estimators import (
 )
 from .inference import (
     InferenceReport,
-    NoiseTerms,
     ci_ols,
     ci_uls,
-    noise_terms,
     normal_quantile,
     variance_uls,
 )

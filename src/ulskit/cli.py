@@ -28,6 +28,7 @@ from .data_model import (
     load_model,
     save_json,
     save_model,
+    save_table,
     subsample,
 )
 from .errors import ParseError, SchemaMismatch, UlsError
@@ -120,10 +121,7 @@ def _cmd_unlearn(args) -> int:
 
     save_json(result.to_json_dict(), args.out)
     if args.cv_table:
-        with open(args.cv_table, "w", encoding="utf-8") as fh:
-            fh.write("lambda,fold,mse\n")
-            for row_lam, fold, mse in cv_table:
-                fh.write(f"{row_lam:.17g},{fold},{mse:.17g}\n")
+        save_table(("lambda", "fold", "mse"), cv_table, args.cv_table)
     print(f"wrote {args.out} (method={result.method})")
     return EXIT_OK
 
@@ -201,12 +199,10 @@ def _cmd_bench(args) -> int:
         records = [run_method(name, pb, st_r, spec, cv_rng, None, score)
                    for name in methods]
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,mpe,millis\n")
-        for r in records:
-            value = float("nan") if r.error is None else r.error
-            cell = format(r.millis, ".17g") if args.timing else ""
-            fh.write(f"{r.method},{value:.17g},{cell}\n")
+    save_table(("method", "mpe", "millis"),
+               ((r.method, float("nan") if r.error is None else r.error,
+                 r.millis if args.timing else None) for r in records),
+               args.out)
     failed = [(r.method, *r.failure) for r in records if r.failure is not None]
     for name, kind, message in failed:
         prefix = "" if message.startswith(f"{name}: ") else f"{name}: "  # as cv_select's

@@ -195,7 +195,8 @@ def subsample(d: Dataset, n_sub: int, rng: RngStream) -> Dataset:
 # record per line, no comment or blank lines; a quoted cell reads as unquoted.
 # Model JSON: {"theta": [...], "n_total": N, "n_remaining": Nr, "n_forget": Nf,
 # "loss": "squared"|"logistic"}. Results and summaries: indented JSON with
-# sorted keys (save_json).
+# sorted keys (save_json). Output tables (simulation records, bench results,
+# CV audits): a header line, then one comma-separated row per line (save_table).
 
 def _check_header(fields, path) -> int:
     if not fields or fields[0] != "y":
@@ -304,6 +305,22 @@ def save_csv(d: Dataset, path) -> None:
         header = "y," + ",".join(f"x{j}" for j in range(1, d.p + 1))
         fh.write(header + "\n")
         np.savetxt(fh, np.column_stack([d.y, d.x]), fmt="%.17g", delimiter=",")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else format(value, ".17g")
+
+
+def save_table(header, rows, path) -> None:
+    """Write a CSV table: the ``header`` names, then one line per row, with
+    text cells as they are, numbers as 17-significant-digit literals (a bool
+    as 1 or 0, inf and nan as such) and None as an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def save_json(payload: dict, path) -> None:

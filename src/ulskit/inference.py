@@ -16,6 +16,10 @@ remaining rows:
         + (Nr - n_sub)/(Nr^2 n_sub) * sum_i (a_i + b_i)^2.
 
 With nominal level alpha, the interval is v'theta +/- z_{1-alpha/2} sqrt(V).
+
+Every interval comes from a prepared problem through :data:`INTERVALS`, so
+the terms reuse its subsample Cholesky factor; :func:`ci_uls` and
+:func:`ci_ols` prepare the problem from datasets.
 """
 
 from __future__ import annotations
@@ -30,18 +34,6 @@ from .data_model import Dataset, PretrainedModel
 from .errors import DegenerateDirection, DimensionMismatch, SingularGram
 from .estimators import SOLVERS, Problem, prepare
 from .numerics import as_vector, spd_solve
-
-
-@dataclass(frozen=True)
-class NoiseTerms:
-    """Per-subsample-row noise components a_i and b_i."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
-            raise DimensionMismatch("a and b must be vectors of equal length")
 
 
 @dataclass(frozen=True)
@@ -151,7 +143,9 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _noise_terms(v, sub: Dataset, lower: np.ndarray, theta_uls, theta_p) -> NoiseTerms:
+def _noise_terms(v, sub: Dataset, lower: np.ndarray, theta_uls, theta_p):
+    """The per-row noise terms (a, b) of the subsample ``sub``, whose Gram
+    matrix has the Cholesky factor ``lower``."""
     w = spd_solve(lower, v)
     xw = sub.x @ w
     a = xw * (sub.y - sub.x @ theta_uls)
@@ -159,25 +153,18 @@ def _noise_terms(v, sub: Dataset, lower: np.ndarray, theta_uls, theta_p) -> Nois
     # v' sigma^{-1} (x_i x_i' - sigma) diff = (x_i'w)(x_i'diff) - v'diff,
     # using sigma w = v; the terms average to zero by construction of sigma.
     b = xw * (sub.x @ diff) - float(v @ diff)
-    return NoiseTerms(a=a, b=b)
+    return a, b
 
 
-def noise_terms(v, sub: Dataset, theta_uls, theta_p) -> NoiseTerms:
-    """Per-row noise components, both computed against the subsample's Gram."""
-    theta_uls = as_vector(theta_uls, "theta_uls")
-    theta_p = as_vector(theta_p, "theta_p")
-    v = _check_direction(v, sub.p)
-    factor = prepare(None, None, sub).sub_factor
-    return _noise_terms(v, sub, factor, theta_uls, theta_p)
-
-
-def variance_uls(terms: NoiseTerms, n_r: int) -> float:
-    """Reweighted variance estimate for v'theta_uls; always >= 0. The terms
-    hold one entry per subsample row, so their length is n_sub <= n_r."""
-    n_sub = terms.a.shape[0]
+def variance_uls(a: np.ndarray, b: np.ndarray, n_r: int) -> float:
+    """Reweighted variance estimate for v'theta_uls from the noise terms a and
+    b; always >= 0. They hold one entry per subsample row, so their common
+    length is n_sub <= n_r."""
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DimensionMismatch("a and b must be vectors of equal length")
+    n_sub = a.shape[0]
     if n_sub > n_r:
         raise ValueError(f"n_sub={n_sub} cannot exceed n_r={n_r}")
-    a, b = terms.a, terms.b
     with np.errstate(over="ignore"):  # InferenceReport names an overflow
         first = np.sum((a + ((n_sub - n_r) / n_sub) * b) ** 2) / n_r**2
         second = (n_r - n_sub) / (n_r**2 * n_sub) * np.sum((a + b) ** 2)
@@ -202,8 +189,8 @@ def uls_interval(pb: Problem, theta, v, alpha: float) -> InferenceReport:
     """Interval for v'theta from a prepared problem and its uls fit theta."""
     check_alpha(alpha)
     v = _check_direction(v, pb.sub.p)
-    terms = _noise_terms(v, pb.sub, pb.sub_factor, theta, pb.theta_p)
-    variance = variance_uls(terms, pb.model.n_remaining)
+    a, b = _noise_terms(v, pb.sub, pb.sub_factor, theta, pb.theta_p)
+    variance = variance_uls(a, b, pb.model.n_remaining)
     return _report(v, theta, variance, alpha, "uls")
 
 

@@ -22,11 +22,13 @@ per-rep redraws are requested. :func:`run_experiment` can therefore split the
 replications into contiguous chunks and run all but the first in forked
 worker processes. Each method runs through :func:`run_method`, which
 ``uls bench`` shares, so a method fails the same way in a simulation and in
-a bench.
+a bench. A draw beyond the double range (a huge delta) fails as one named
+error, and :func:`write_records` writes through ``data_model.save_table``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import time
@@ -40,6 +42,7 @@ from .data_model import (
     PretrainedModel,
     SufficientStats,
     compute_stats,
+    save_table,
     subsample,
 )
 from .errors import EmptyDataset, UlsError
@@ -171,7 +174,7 @@ def _draw_stats(rng: RngStream, n: int, lower, theta) -> SufficientStats:
     if n == 0:
         return forget_stats(None, p)
     if n < p:
-        x = rng.standard_normal((n, p)) @ lower.T
+        x = sample_gaussian(rng, lower, n)
         gram, cross = x.T @ x, x.T @ (x @ theta + rng.standard_normal(n))
     else:
         a = lower @ bartlett_factor(rng, n, p)
@@ -187,14 +190,16 @@ def draw_rep_stats(cfg: SimConfig, theta_r, theta_f, rng: RngStream):
     the subsample rows are drawn; the forget rows (AR(rho) covariance) and the
     other n_r - n_sub remaining rows (covariance I) are drawn as statistics.
     """
-    x_sub = rng.standard_normal((cfg.n_sub, cfg.p))
-    sub = _with_response(x_sub, theta_r, rng, "subsample")
-    st_sub = compute_stats(sub)
-    st_f = _draw_stats(rng, cfg.n_f, cfg.ar_factor, theta_f)
-    df = cfg.n_r - cfg.n_sub
-    if df == 0:
-        return st_sub, st_sub, st_f, sub
-    return st_sub + _draw_stats(rng, df, np.eye(cfg.p), theta_r), st_sub, st_f, sub
+    # an overflow is reported once, by SufficientStats or Dataset, as a named error
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sub = rng.standard_normal((cfg.n_sub, cfg.p))
+        sub = _with_response(x_sub, theta_r, rng, "subsample")
+        st_sub = compute_stats(sub)
+        st_f = _draw_stats(rng, cfg.n_f, cfg.ar_factor, theta_f)
+        df = cfg.n_r - cfg.n_sub
+        if df == 0:
+            return st_sub, st_sub, st_f, sub
+        return st_sub + _draw_stats(rng, df, np.eye(cfg.p), theta_r), st_sub, st_f, sub
 
 
 def mpe(theta, test: Dataset) -> float:
@@ -220,7 +225,7 @@ def _oracle_lambdas(cfg: SimConfig) -> dict:
         convexity_floor = 2.0 * lam_max_f  # population remaining covariance is I
         rules["graddiff"] = max(
             np.sqrt((cfg.n_sub / cfg.n_r) / w.omega_f)
-            + np.sqrt(cfg.n_sub / cfg.p) * cfg.delta,
+            + math.sqrt(cfg.n_sub / cfg.p) * cfg.delta,  # a float: inf, no warning
             convexity_floor,
         )
     else:
@@ -447,16 +452,6 @@ def write_records(records, path, include_timing: bool = False) -> None:
     Timing is filled only on request so that default outputs are
     byte-reproducible across runs.
     """
-
-    def fmt(value) -> str:
-        return "" if value is None else format(value, ".17g")
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("rep,method,error,covered,sd_hat,millis\n")
-        for r in records:
-            millis = fmt(r.millis) if include_timing else ""
-            fh.write(
-                f"{r.rep},{r.method},{fmt(r.error)},{fmt(r.covered)},"
-                f"{fmt(r.sd_hat)},{millis}\n"
-            )
-
+    rows = ((r.rep, r.method, r.error, r.covered, r.sd_hat,
+             r.millis if include_timing else None) for r in records)
+    save_table(("rep", "method", "error", "covered", "sd_hat", "millis"), rows, path)

@@ -18,18 +18,17 @@ from ulskit import (
     LOGISTIC,
     RngStream,
     SQUARED,
+    ci_uls,
     concat_datasets,
     gd_unlearn,
     graddiff,
     loss_grad,
-    noise_terms,
     ols_fit,
     pretrain,
     save_csv,
     transfer_ridge,
     uls,
     uls_plus,
-    variance_uls,
 )
 from ulskit.cli import main
 from ulskit.simulation import SimConfig, draw_truth, generate_rep, run_experiment
@@ -202,10 +201,9 @@ def test_criterion_8_variance_consistency():
             concat_datasets([remaining, forget], "remaining"),
             n_forget=cfg.n_f,
         )
-        fit = uls(model, forget, sub)
-        terms = noise_terms(v, sub, fit.theta, model.theta_p)
-        vhats.append(variance_uls(terms, cfg.n_r))
-        points.append(float(v @ fit.theta))
+        report = ci_uls(model, forget, sub, v)
+        vhats.append(report.variance)
+        points.append(report.point)
     ratio = float(np.mean(vhats) / np.var(points, ddof=1))
     ok = 0.8 <= ratio <= 1.25
     _report(8, ok, f"mean(Vhat)/MC-variance = {ratio:.3f} over {cfg.reps} reps")

@@ -812,6 +812,9 @@ def test_flag_is_checked_before_any_file_is_read(tmp_path, argv, message, capsys
     assert not out.exists()
 
 
+OVERFLOW = "the data's moments overflow: X'X/n or X'y/n is not finite\n"
+
+
 @pytest.mark.parametrize("command, flags, prefix", [
     ("unlearn", ["--method", "gd", "--alpha", "0"], "alpha must be positive"),
     ("unlearn", ["--method", "gd", "--t-max", "0"], "t_max must be >= 1"),
@@ -845,6 +848,14 @@ def test_flag_is_checked_before_any_file_is_read(tmp_path, argv, message, capsys
      "grid bounds must be finite, got hi=inf"),
     ("simulate", ["--delta", "nan"], "delta must be >= 0 and finite, got nan"),
     ("simulate", ["--delta", "inf"], "delta must be >= 0 and finite, got inf"),
+    # a finite delta whose drawn moments overflow; a numpy warning on the way
+    # would be an error here, as under `python -W error`
+    ("simulate", ["--delta", "1e308"], OVERFLOW),
+    ("simulate", ["--delta", "1e308", "--oracle-lambda"], OVERFLOW),
+    ("simulate", ["--delta", "1e308", "--redraw-truth"], OVERFLOW),
+    ("simulate", ["--delta", "1.7e308"], OVERFLOW),
+    ("simulate", ["--delta", "1e308", "--p", "50"], OVERFLOW),
+    ("simulate", ["--delta", "1.5e308", "--nf", "2", "--p", "5"], OVERFLOW),  # rows drawn
 ])
 def test_bad_flag_value_exit_code(p3_example, command, flags, prefix, capsys):
     paths, tmp = p3_example

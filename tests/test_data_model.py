@@ -20,6 +20,7 @@ from ulskit import (
     load_model,
     save_csv,
     save_model,
+    save_table,
     subsample,
 )
 from ulskit import data_model
@@ -329,3 +330,17 @@ def test_weight_profile_exact_complement():
 def test_model_count_invariant():
     with pytest.raises(ValueError):
         PretrainedModel(np.zeros(2), 10, 8, 3)
+
+
+def test_save_table_cell_rules(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [("uls", None, True, False, 3),
+            ("tl", float("inf"), float("nan"), np.int64(12), 0.1),
+            ("", -float("inf"), np.float64(2.5), 1e-300, -7)]
+    save_table(("method", "a", "b", "c", "d"), rows, path)
+    assert path.read_bytes() == (
+        b"method,a,b,c,d\n"
+        b"uls,,1,0,3\n"
+        b"tl,inf,nan,12,0.10000000000000001\n"
+        b",-inf,2.5,1e-300,-7\n"
+    )

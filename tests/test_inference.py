@@ -9,16 +9,16 @@ from ulskit import (
     Dataset,
     DegenerateDirection,
     InferenceReport,
-    NoiseTerms,
     RngStream,
     SingularGram,
     ci_ols,
     ci_uls,
-    noise_terms,
     normal_quantile,
+    prepare,
     uls,
     variance_uls,
 )
+from ulskit.inference import _noise_terms
 
 Z_975 = 1.9599639845400545
 
@@ -56,11 +56,16 @@ def test_normal_quantile_matches_ndtri_bit_for_bit():
     assert got.tobytes() == ndtri(qs).tobytes()
 
 
+def noise_terms(v, sub, theta_uls, theta_p):
+    """The noise terms (a, b) against the subsample's own Cholesky factor."""
+    return _noise_terms(v, sub, prepare(None, None, sub).sub_factor, theta_uls, theta_p)
+
+
 def test_noise_terms_b_vanishes_when_thetas_agree():
     model, _, _, sub = linear_instance(0)
     theta = model.theta_p
-    terms = noise_terms(np.eye(model.p)[0], sub, theta, theta)
-    assert np.max(np.abs(terms.b)) == 0.0
+    _, b = noise_terms(np.eye(model.p)[0], sub, theta, theta)
+    assert np.max(np.abs(b)) == 0.0
 
 
 def test_noise_terms_a_vanishes_without_residuals():
@@ -68,8 +73,8 @@ def test_noise_terms_a_vanishes_without_residuals():
     x = rng.standard_normal((50, 3))
     theta = rng.standard_normal(3)
     sub = Dataset(x, x @ theta, "subsample")
-    terms = noise_terms(np.eye(3)[1], sub, theta, theta + 1.0)
-    assert np.max(np.abs(terms.a)) <= 1e-12
+    a, _ = noise_terms(np.eye(3)[1], sub, theta, theta + 1.0)
+    assert np.max(np.abs(a)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -77,46 +82,44 @@ def test_noise_terms_b_centered(seed):
     model, _, forget, sub = linear_instance(seed)
     fit = uls(model, forget, sub)
     v = RngStream(seed, 3).standard_normal(model.p)
-    terms = noise_terms(v, sub, fit.theta, model.theta_p)
-    assert abs(terms.b.mean()) <= 1e-10 * (1.0 + np.max(np.abs(terms.b)))
+    _, b = noise_terms(v, sub, fit.theta, model.theta_p)
+    assert abs(b.mean()) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
 
 def test_variance_full_sample_degenerates():
     a = np.array([1.0, -2.0, 0.5])
     b = np.array([5.0, 5.0, 5.0])
     # n_sub == n_r: the b weights vanish and only sum(a^2)/n_r^2 remains
-    assert variance_uls(NoiseTerms(a, b), 3) == pytest.approx(
+    assert variance_uls(a, b, 3) == pytest.approx(
         np.sum(a**2) / 9.0, rel=1e-14
     )
 
 
 def test_variance_hand_value():
-    terms = NoiseTerms(np.ones(2), np.zeros(2))
-    assert variance_uls(terms, 4) == pytest.approx(0.25, rel=1e-14)
+    assert variance_uls(np.ones(2), np.zeros(2), 4) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_variance_homogeneous_degree_two():
     rng = RngStream(2, 0)
-    terms = NoiseTerms(rng.standard_normal(10), rng.standard_normal(10))
-    doubled = NoiseTerms(2.0 * terms.a, 2.0 * terms.b)
-    assert variance_uls(doubled, 40) == pytest.approx(
-        4.0 * variance_uls(terms, 40), rel=1e-12
+    a, b = rng.standard_normal(10), rng.standard_normal(10)
+    assert variance_uls(2.0 * a, 2.0 * b, 40) == pytest.approx(
+        4.0 * variance_uls(a, b, 40), rel=1e-12
     )
 
 
 def test_variance_nonnegative():
     rng = RngStream(3, 0)
     for _ in range(20):
-        terms = NoiseTerms(rng.standard_normal(8), rng.standard_normal(8))
-        assert variance_uls(terms, 30) >= 0.0
+        a, b = rng.standard_normal(8), rng.standard_normal(8)
+        assert variance_uls(a, b, 30) >= 0.0
 
 
 def test_variance_rejects_more_terms_than_remaining_rows():
     # one term per subsample row, and the subsample is drawn from the n_r rows
-    terms = NoiseTerms(np.ones(5), np.zeros(5))
-    assert variance_uls(terms, 5) == pytest.approx(0.2, rel=1e-14)
+    a, b = np.ones(5), np.zeros(5)
+    assert variance_uls(a, b, 5) == pytest.approx(0.2, rel=1e-14)
     with pytest.raises(ValueError, match="n_sub=5 cannot exceed n_r=4"):
-        variance_uls(terms, 4)
+        variance_uls(a, b, 4)
 
 
 def test_ci_uls_z_multiplier():

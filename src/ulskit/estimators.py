@@ -25,17 +25,17 @@ below, cross-validation, the simulation harness and the CLI all go through
 it. A tuned solver also has a path, which solves a whole grid of lam with
 one factorization or eigendecomposition:
 
-    uls+:   theta(lam) = (a + lam b) / (omega_r + lam), where
-            sigma_sub a = sigma_mix theta_p - omega_f m_f, sigma_sub b = m_sub
+    uls+:   theta(lam) = (1 - w) theta_uls + w theta_ols, the mix of the uls
+            fit and the subsample's ols fit by w = lam / (omega_r + lam)
     pencil: theta(lam) = V diag(1/(lam - mu)) V'(lam b_p - b_q) solves
             (lam A_p - A_q) theta = lam b_p - b_q, where A_q V = A_p V diag(mu)
             and V' A_p V = I; gdiff is (A_p, b_p, A_q, b_q) = (sigma_sub, m_sub,
             sigma_f, m_f), and ridge is (I, theta_p, -sigma_sub, -m_sub)
 
-Both pencil paths hold lam only in bounded ratios, so no finite lam overflows
-them. They refine each column with the pencil while that lowers its backward
-error, and solve by Cholesky a column that refinement cannot bring to
-rounding, or (ridge) whose shifted spectrum is too wide to tell a singular
+Every path holds lam only in bounded ratios, so no finite lam overflows it.
+The pencil paths refine each column with the pencil while that lowers its
+backward error, and solve by Cholesky a column that refinement cannot bring
+to rounding, or (ridge) whose shifted spectrum is too wide to tell a singular
 system (:func:`_pencil_path`). GradDiff's objective is bounded below iff
 lam > mu_max; :func:`graddiff_feasible` decides, by lam - mu_max >
 PIVOT_FLOOR * lam. Every tuned fit is its path's column at one lam, where a
@@ -271,16 +271,10 @@ def _uls_plus_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     _require_squared(pb, "uls+")
     if np.any(lams < 0.0):
         raise ValueError(f"lam must be >= 0, got {lams.min():g}")
-    om_f, om_r, st_sub, st_f = pb.model.omega_f, pb.model.omega_r, pb.st_sub, pb.st_f
-    theta_p = pb.theta_p
-    if st_f.n == 0:  # the no-op at every lam
-        return np.repeat(theta_p[:, None], len(lams), axis=1)
-    mix = om_r * (st_sub.sigma @ theta_p) + om_f * (st_f.sigma @ theta_p)
-    rhs = np.column_stack([mix - om_f * st_f.m, st_sub.m])
-    a, b = spd_solve(pb.sub_factor, rhs).T
-    with np.errstate(over="ignore", invalid="ignore"):  # finite_solution names it
-        thetas = (a[:, None] + lams * b[:, None]) / (om_r + lams)
-    return finite_solution(thetas)
+    if pb.st_f.n == 0:  # the no-op at every lam
+        return np.repeat(pb.theta_p[:, None], len(lams), axis=1)
+    w = lams / (pb.model.omega_r + lams)
+    return (1.0 - w) * _uls(pb).theta[:, None] + w * _ols(pb).theta[:, None]
 
 
 def _uls_plus_grad(pb: Problem, theta, lam):
@@ -328,20 +322,21 @@ def _pencil_path(lams, c, mu, v, a_p, b_p, a_q, b_q, direct=False) -> np.ndarray
         scale = w_p * (abs_p @ size) + (abs_q @ size) / shift + fixed
         return r_p, r_q, np.max(np.abs(w_p * r_p - r_q / shift) / scale, axis=0)
 
-    theta = solve(b_p, b_q)
-    r_p, r_q, berr = residual(theta)
-    last = np.full(len(lams), np.inf)
-    for _ in range(_REFINE_STEPS):
-        open_ = (berr > _ROUNDING) & (2.0 * berr <= last)
-        if not open_.any():
-            break
-        trial = theta + solve(r_p, r_q)
-        t_p, t_q, t_berr = residual(trial)
-        take = open_ & (t_berr < berr)
-        last = np.where(take, berr, 0.0)
-        theta, berr = np.where(take, trial, theta), np.where(take, t_berr, berr)
-        r_p, r_q = np.where(take, t_p, r_p), np.where(take, t_q, r_q)
-    theta = finite_solution(theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_solution names it
+        theta = solve(b_p, b_q)
+        r_p, r_q, berr = residual(theta)
+        last = np.full(len(lams), np.inf)
+        for _ in range(_REFINE_STEPS):
+            open_ = (berr > _ROUNDING) & (2.0 * berr <= last)
+            if not open_.any():
+                break
+            trial = theta + solve(r_p, r_q)
+            t_p, t_q, t_berr = residual(trial)
+            take = open_ & (t_berr < berr)
+            last = np.where(take, berr, 0.0)
+            theta, berr = np.where(take, trial, theta), np.where(take, t_berr, berr)
+            r_p, r_q = np.where(take, t_p, r_p), np.where(take, t_q, r_q)
+        theta = finite_solution(theta)
     for k in np.flatnonzero((berr > _REFINED) | direct):
         try:
             factor = cholesky(lams[k] * a_p - a_q)
@@ -436,7 +431,9 @@ def _path_solver(method: str, path, grad) -> Solver:
         if np.isnan(theta).any():
             raise IndefiniteObjective(f"lam={lam:g}: the objective is not numerically"
                                       " strictly convex")
-        return _result(method, theta, grad(pb, theta, lam), lam)
+        with np.errstate(over="ignore", invalid="ignore"):  # _result names it
+            g = grad(pb, theta, lam)
+        return _result(method, theta, g, lam)
 
     return Solver(fit, path)
 

@@ -5,11 +5,12 @@ its Gram matrices once, in :func:`~ulskit.estimators.prepare`.
 :func:`cv_select` splits the problem's subsample rows into shuffled
 round-robin folds, drawn once per problem, fold count and random stream, so
 every method tuned with that stream scores the same folds. On each training
-fold the solver's path gives the coefficients of every candidate lambda from
-one factorization (uls+) or one pencil eigendecomposition (ridge and
-GradDiff, which share one path: refined with its own residual, and solved by
-Cholesky where refinement cannot converge), and one vectorized expression
-scores them all by squared prediction error on the held-out fold.
+fold the solver's path gives the coefficients of every candidate lambda, as
+a mix of the fold's uls and ols fits, which share one factorization (uls+),
+or from one pencil eigendecomposition (ridge and GradDiff, which share one
+path: refined with its own residual, and solved by Cholesky where refinement
+cannot converge), and one vectorized expression scores them all by squared
+prediction error on the held-out fold.
 Every tuned fit is a column of the same path, so the search scores exactly
 what the fit returns. Ties break toward the larger (more conservative)
 lambda.
@@ -81,8 +82,8 @@ class CvSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError("grid must be nonempty")
-        if any(v <= 0.0 for v in grid):
-            raise ValueError("grid values must be positive")
+        if not all(0.0 < v < math.inf for v in grid):
+            raise ValueError(f"grid values must be positive and finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)

@@ -1033,10 +1033,30 @@ def test_overflowing_moments_exit_code(overflow_example, command, capsys):
     assert not out.exists()
 
 
+@pytest.fixture
+def collinear_example(tmp_path):
+    """A model on columns (1, z, z + 1e-5 e), 60 rows with the last 10 as the
+    forget set, and a 30-row subsample with responses 1e304 e: its moments
+    are finite, but its OLS fit lies beyond the double range."""
+    rng = RngStream(0, 0)
+    z, e = rng.standard_normal(60), rng.standard_normal(60)
+    x = np.column_stack([np.ones(60), z, z + 1e-5 * e])
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(60)
+    full = tmp_path / "full.csv"
+    _write_csv(full, x, y)
+    paths = {"forget": tmp_path / "forget.csv", "sub": tmp_path / "sub.csv",
+             "model": tmp_path / "model.json"}
+    _write_csv(paths["forget"], x[50:], y[50:])
+    _write_csv(paths["sub"], x[:30], 1e304 * e[:30])
+    assert main(["pretrain", str(full), "--n-forget", "10",
+                 "--out", str(paths["model"])]) == 0
+    return paths, tmp_path
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_overflowing_solve_exit_code(p3_example, capsys):
-    # a huge lambda makes uls+'s right-hand side overflow, not its moments
-    paths, tmp = p3_example
+def test_overflowing_solve_exit_code(collinear_example, capsys):
+    # uls+ mixes in the subsample's OLS fit, whose solve overflows, not its moments
+    paths, tmp = collinear_example
     out = tmp / "r.json"
     code = main([
         "unlearn", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
@@ -1048,9 +1068,9 @@ def test_overflowing_solve_exit_code(p3_example, capsys):
     assert not out.exists()
 
 
-def test_overflowing_solve_prints_only_the_named_error(p3_example):
+def test_overflowing_solve_prints_only_the_named_error(collinear_example):
     # a separate process, so that stderr holds whatever numpy would print
-    paths, tmp = p3_example
+    paths, tmp = collinear_example
     src = str(Path(ulskit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -1065,6 +1085,63 @@ def test_overflowing_solve_prints_only_the_named_error(p3_example):
     assert len(lines) == 1
     assert lines[0].startswith("ValueError: linear solve gave non-finite entries")
     assert not out.exists()
+
+
+def test_huge_lambda_uls_plus_is_the_ols_fit(p3_example):
+    # uls+ weighs the ols fit by lam / (omega_r + lam), which rounds to 1
+    paths, tmp = p3_example
+    thetas = {}
+    for method in ("uls+", "ols"):
+        out = tmp / f"{method}.json"
+        assert main([
+            "unlearn", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+            "--sub", str(paths["sub"]), "--method", method, "--lam", "1e308",
+            "--out", str(out),
+        ]) == 0
+        thetas[method] = json.loads(out.read_text())["theta"]
+    assert thetas["uls+"] == thetas["ols"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--lam", "1e308"]], ids=["cv", "1e308"])
+def test_graddiff_overflowing_pencil_is_only_the_named_error(collinear_example,
+                                                            flags, capsys):
+    # the pencil's refinement overflows with the subsample's responses; pytest
+    # turns a numpy warning into an error, so none may escape before the name
+    paths, tmp = collinear_example
+    out = tmp / "r.json"
+    code = main([
+        "unlearn", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+        "--sub", str(paths["sub"]), "--method", "graddiff", *flags, "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "ValueError: linear solve gave non-finite entries (its input overflows)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, code", [("graddiff", 2), ("uls+", 2), ("tl", 0)])
+def test_overflowing_certificate_is_only_the_named_error(tmp_path, method, code, capsys):
+    # with responses x 1e20 on the subsample, lam * retain_grad overflows at
+    # lam = 1e308; tl's retain term is weighed by 1, so its certificate holds
+    rng = RngStream(1, 0)
+    x = rng.standard_normal((300, 3))
+    y = x @ np.ones(3) + rng.standard_normal(300)
+    _write_csv(tmp_path / "full.csv", x, y)
+    _write_csv(tmp_path / "forget.csv", x[250:], y[250:])
+    _write_csv(tmp_path / "sub.csv", x[:100], 1e20 * y[:100])
+    model, out = tmp_path / "model.json", tmp_path / "r.json"
+    assert main(["pretrain", str(tmp_path / "full.csv"), "--n-forget", "50",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main([
+        "unlearn", "--model", str(model), "--forget", str(tmp_path / "forget.csv"),
+        "--sub", str(tmp_path / "sub.csv"), "--method", method, "--lam", "1e308",
+        "--out", str(out),
+    ]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "ValueError: the fit's gradient certificate overflows (lam too large?)\n"
+    assert out.exists() == (code == 0)
 
 
 def _reject_constant(name):

@@ -146,6 +146,15 @@ def test_uls_plus_large_lambda_limit():
     assert np.linalg.norm(plus.theta - target) <= 1e-4
 
 
+def test_uls_plus_endpoints_are_exactly_uls_and_ols():
+    # uls+ weighs the uls and ols fits by w = lam / (omega_r + lam), which is
+    # exactly 0 at lam = 0 and rounds to exactly 1 at lam = 1e308
+    model, _, forget, sub = linear_instance(3, p=6, n_sub=150)
+    assert np.array_equal(uls_plus(model, forget, sub, 0.0).theta,
+                          uls(model, forget, sub).theta)
+    assert np.array_equal(uls_plus(model, forget, sub, 1e308).theta, ols_fit(sub).theta)
+
+
 def test_uls_plus_empty_forget_is_identity():
     model, _, _, sub = linear_instance(8)
     empty = Dataset(np.empty((0, model.p)), np.empty(0), "forget")

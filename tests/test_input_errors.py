@@ -80,6 +80,10 @@ CASES = {
                          "dimension must be >= 1, got 0"),
     "cv-grid-zero": (lambda: CvSpec(grid=(0.0, 1.0)), ValueError,
                      "grid values must be positive"),
+    "cv-grid-inf": (lambda: CvSpec(grid=(1.0, np.inf)), ValueError,
+                    "grid values must be positive and finite, got (1.0, inf)"),
+    "cv-grid-nan": (lambda: CvSpec(grid=(1.0, np.nan)), ValueError,
+                    "grid values must be positive and finite, got (1.0, nan)"),
     "loss-grad-theta": (lambda: loss_grad(SQUARED, np.ones(3), Dataset(X, Y)),
                         DimensionMismatch, "theta has shape (3,), dataset has p=2"),
     "uls-forget-p": (_uls_with_forget_of_another_p, DimensionMismatch,

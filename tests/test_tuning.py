@@ -287,6 +287,16 @@ def test_tl_fit_and_path_agree_at_huge_lambda():
         assert_allclose(SOLVERS["tl"].fit(pb, lam).theta, thetas[:, k], rtol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [2, 4, 5, 6])
+def test_uls_plus_cv_scores_a_huge_lambda(seed):
+    # at lam = 1e308 the path is the subsample's ols fit, so one huge grid
+    # point is scored like any other instead of failing the whole search
+    model, _, forget, sub = linear_instance(seed, p=6, n_sub=150)
+    lam, table = cv_select("uls+", prepare(model, forget, sub), CvSpec(grid=(1.0, 1e308)))
+    assert lam == 1.0
+    assert all(math.isfinite(mse) for _, _, mse in table)
+
+
 def test_uls_plus_cv_empty_forget_ties_exactly_at_p50():
     # the no-op scores bit-equal at every lambda, so the largest one wins;
     # at p = 50 a BLAS product would score equal columns differently

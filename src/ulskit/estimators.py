@@ -22,8 +22,8 @@ its own objective gradient at the solution as a stationarity certificate.
 :data:`SOLVERS` table maps each method name to its solver on a problem. The
 table is the one place a method is dispatched: the dataset-level functions
 below, cross-validation, the simulation harness and the CLI all go through
-it. A tuned solver also has a path, which solves a whole grid of lam with
-one factorization or eigendecomposition:
+it. Closed forms (ols, uls) return bare coefficients, and a tuned method's
+path solves a whole grid of lam with one factorization or eigendecomposition:
 
     uls+:   theta(lam) = (1 - w) theta_uls + w theta_ols, the mix of the uls
             fit and the subsample's ols fit by w = lam / (omega_r + lam)
@@ -39,7 +39,8 @@ to rounding, or (ridge) whose shifted spectrum is too wide to tell a singular
 system (:func:`_pencil_path`). GradDiff's objective is bounded below iff
 lam > mu_max; :func:`graddiff_feasible` decides, by lam - mu_max >
 PIVOT_FLOOR * lam. Every tuned fit is its path's column at one lam, where a
-NaN column is an :class:`IndefiniteObjective`.
+NaN column is an :class:`IndefiniteObjective`. The table runs every fit and
+path with overflow warnings off, and names each overflow with a ValueError.
 """
 
 from __future__ import annotations
@@ -228,13 +229,10 @@ def _result(method: str, theta, grad, lam=None) -> EstimateResult:
     that overflows is a ValueError."""
     norm = safe_norm(grad)
     if not math.isfinite(norm):
-        raise ValueError("the fit's gradient certificate overflows (lam too large?)")
-    return EstimateResult(
-        theta=theta,
-        method=method,
-        lambda_used=None if lam is None else float(lam),
-        grad_residual=norm,
-    )
+        hint = "" if lam is None else " (lam too large?)"
+        raise ValueError(f"the fit's gradient certificate overflows{hint}")
+    return EstimateResult(theta, method, lambda_used=None if lam is None else float(lam),
+                          grad_residual=norm)
 
 
 def _uls_grad(theta, pb: Problem) -> np.ndarray:
@@ -247,20 +245,16 @@ def _uls_grad(theta, pb: Problem) -> np.ndarray:
     return 2.0 * om_f * (st_f.m - st_f.sigma @ theta) - 2.0 * sigma_mix_gap
 
 
-def _ols(pb: Problem, lam=None) -> EstimateResult:
-    st = pb.st_sub
-    theta = spd_solve(pb.sub_factor, st.m)
-    return _result("ols", theta, st.m - st.sigma @ theta)
+def _ols(pb: Problem) -> np.ndarray:
+    return spd_solve(pb.sub_factor, pb.st_sub.m)
 
 
-def _uls(pb: Problem, lam=None) -> EstimateResult:
+def _uls(pb: Problem) -> np.ndarray:
     _require_squared(pb, "uls")
     if pb.st_f.n == 0:  # nothing to forget: a no-op
-        return _result("uls", pb.theta_p.copy(), 0.0)
-    st_f = pb.st_f
-    correction = spd_solve(pb.sub_factor, st_f.sigma @ pb.theta_p - st_f.m)
-    theta = pb.theta_p + (pb.model.omega_f / pb.model.omega_r) * correction
-    return _result("uls", theta, _uls_grad(theta, pb))
+        return pb.theta_p.copy()
+    correction = spd_solve(pb.sub_factor, pb.st_f.sigma @ pb.theta_p - pb.st_f.m)
+    return pb.theta_p + (pb.model.omega_f / pb.model.omega_r) * correction
 
 
 def _retain_grad(pb: Problem, theta) -> np.ndarray:
@@ -274,7 +268,7 @@ def _uls_plus_path(pb: Problem, lams: np.ndarray) -> np.ndarray:
     if pb.st_f.n == 0:  # the no-op at every lam
         return np.repeat(pb.theta_p[:, None], len(lams), axis=1)
     w = lams / (pb.model.omega_r + lams)
-    return (1.0 - w) * _uls(pb).theta[:, None] + w * _ols(pb).theta[:, None]
+    return (1.0 - w) * _uls(pb)[:, None] + w * _ols(pb)[:, None]
 
 
 def _uls_plus_grad(pb: Problem, theta, lam):
@@ -322,21 +316,20 @@ def _pencil_path(lams, c, mu, v, a_p, b_p, a_q, b_q, direct=False) -> np.ndarray
         scale = w_p * (abs_p @ size) + (abs_q @ size) / shift + fixed
         return r_p, r_q, np.max(np.abs(w_p * r_p - r_q / shift) / scale, axis=0)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # finite_solution names it
-        theta = solve(b_p, b_q)
-        r_p, r_q, berr = residual(theta)
-        last = np.full(len(lams), np.inf)
-        for _ in range(_REFINE_STEPS):
-            open_ = (berr > _ROUNDING) & (2.0 * berr <= last)
-            if not open_.any():
-                break
-            trial = theta + solve(r_p, r_q)
-            t_p, t_q, t_berr = residual(trial)
-            take = open_ & (t_berr < berr)
-            last = np.where(take, berr, 0.0)
-            theta, berr = np.where(take, trial, theta), np.where(take, t_berr, berr)
-            r_p, r_q = np.where(take, t_p, r_p), np.where(take, t_q, r_q)
-        theta = finite_solution(theta)
+    theta = solve(b_p, b_q)
+    r_p, r_q, berr = residual(theta)
+    last = np.full(len(lams), np.inf)
+    for _ in range(_REFINE_STEPS):
+        open_ = (berr > _ROUNDING) & (2.0 * berr <= last)
+        if not open_.any():
+            break
+        trial = theta + solve(r_p, r_q)
+        t_p, t_q, t_berr = residual(trial)
+        take = open_ & (t_berr < berr)
+        last = np.where(take, berr, 0.0)
+        theta, berr = np.where(take, trial, theta), np.where(take, t_berr, berr)
+        r_p, r_q = np.where(take, t_p, r_p), np.where(take, t_q, r_q)
+    theta = finite_solution(theta)
     for k in np.flatnonzero((berr > _REFINED) | direct):
         try:
             factor = cholesky(lams[k] * a_p - a_q)
@@ -395,16 +388,15 @@ def _transfer_ridge_grad(pb: Problem, theta, lam) -> np.ndarray:
 
 
 def _gd(pb: Problem, lam=None) -> EstimateResult:
-    cfg = pb.gd
-    if cfg.alpha is None:
-        cfg = replace(cfg, alpha=default_step_size(pb.model, pb.st_sub))
     if pb.model.loss_id == SQUARED:
-        return gd_unlearn(pb.model, pb.st_f, pb.st_sub, cfg)
+        return gd_unlearn(pb.model, pb.st_f, pb.st_sub, pb.gd)
+    # the default step from the statistics, which logistic GD would form again
+    cfg = replace(pb.gd, alpha=pb.gd.alpha or default_step_size(pb.model, pb.st_sub))
     return gd_unlearn(pb.model, pb.forget, pb.sub, cfg)
 
 
 class Solver(NamedTuple):
-    """``fit(problem, lam)`` gives a method's fit and its certificate.
+    """``fit(problem, lam)`` gives a method's guarded fit and its certificate.
 
     A ``tuned`` method takes a lambda picked by cross-validation; the others
     ignore ``lam``. A tuned method also has ``path(problem, lams)``: the p x L
@@ -421,29 +413,33 @@ class Solver(NamedTuple):
         return self.path is not None
 
 
-def _path_solver(method: str, path, grad) -> Solver:
-    """A tuned solver whose fit is its path's column, certified by ``grad``."""
+def _solver(method: str, grad, coef=None, path=None) -> Solver:
+    """The entry of ``method``: its fit is ``coef(problem)``, or a tuned
+    method's path column at lam, certified by ``grad(problem, theta, lam)``.
+    Each callable has its own errstate, as one is not reentrant on numpy 1.x."""
 
-    def fit(pb: Problem, lam) -> EstimateResult:
-        if not math.isfinite(lam):
+    def fit(pb: Problem, lam=None) -> EstimateResult:
+        if path is None:
+            theta, lam = coef(pb), None
+        elif not math.isfinite(lam):
             raise ValueError(f"lam must be finite, got {lam}")
-        theta = path(pb, np.array([lam], dtype=np.float64))[:, 0]
-        if np.isnan(theta).any():
-            raise IndefiniteObjective(f"lam={lam:g}: the objective is not numerically"
-                                      " strictly convex")
-        with np.errstate(over="ignore", invalid="ignore"):  # _result names it
-            g = grad(pb, theta, lam)
-        return _result(method, theta, g, lam)
+        else:
+            theta = path(pb, np.array([lam], dtype=np.float64))[:, 0]
+            if np.isnan(theta).any():
+                raise IndefiniteObjective(f"lam={lam:g}: the objective is not"
+                                          " numerically strictly convex")
+        return _result(method, theta, grad(pb, theta, lam), lam)
 
-    return Solver(fit, path)
+    quiet = dict(over="ignore", invalid="ignore")  # finite_solution, _result name it
+    return Solver(np.errstate(**quiet)(fit), path and np.errstate(**quiet)(path))
 
 
 SOLVERS = {
-    "ols": Solver(_ols),
-    "uls": Solver(_uls),
-    "uls+": _path_solver("uls+", _uls_plus_path, _uls_plus_grad),
-    "graddiff": _path_solver("graddiff", _graddiff_path, _graddiff_grad),
-    "tl": _path_solver("tl", _transfer_ridge_path, _transfer_ridge_grad),
+    "ols": _solver("ols", lambda pb, theta, _: pb.st_sub.m - pb.st_sub.sigma @ theta, _ols),
+    "uls": _solver("uls", lambda pb, theta, _: _uls_grad(theta, pb), _uls),
+    "uls+": _solver("uls+", _uls_plus_grad, path=_uls_plus_path),
+    "graddiff": _solver("graddiff", _graddiff_grad, path=_graddiff_path),
+    "tl": _solver("tl", _transfer_ridge_grad, path=_transfer_ridge_path),
     "gd": Solver(_gd),
 }
 
@@ -509,6 +505,7 @@ def default_step_size(model: PretrainedModel, sub: Dataset | SufficientStats) ->
     return (0.9 if model.loss_id == SQUARED else 3.6) / (model.n_remaining * lam_max)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing gradient is named
 def gd_unlearn(
     model: PretrainedModel,
     forget: Dataset | SufficientStats,
@@ -524,12 +521,13 @@ def gd_unlearn(
                    - grad(theta_p; forget)
 
     until ||g|| <= grad_tol * (1 + ||theta_p||), raising :class:`NotConverged`
-    if that takes more than t_max steps. For the squared loss ``forget`` and
-    ``sub`` may be rows or their statistics (rows are reduced once), and g is
-    2 Nr sigma_sub (theta - theta_p) - grad(theta_p; forget), an O(p^2) step
-    whose fixed point is exactly :func:`uls`. Expanded into (Nr/n_sub)
-    grad(theta; sub) minus a constant, it cancels two large terms and can
-    stall above a tight tolerance. ``callback(t, theta)`` observes each iterate.
+    if that takes more than t_max steps, and a ValueError at once where ||g||
+    overflows. For the squared loss ``forget`` and ``sub`` may be rows or
+    their statistics (rows are reduced once), and g is 2 Nr sigma_sub
+    (theta - theta_p) - grad(theta_p; forget), an O(p^2) step whose fixed
+    point is exactly :func:`uls`. Expanded into (Nr/n_sub) grad(theta; sub)
+    minus a constant, it cancels two large terms and can stall above a tight
+    tolerance. ``callback(t, theta)`` observes each iterate.
     """
     _check_dims(model, forget, sub)
     loss, theta_p = model.loss_id, model.theta_p
@@ -553,6 +551,8 @@ def gd_unlearn(
     for t in range(cfg.t_max + 1):
         g = objective_grad(theta)
         residual = safe_norm(g)
+        if not math.isfinite(residual):
+            raise ValueError(f"the GD objective's gradient overflows at iteration {t}")
         if residual <= tol or t == cfg.t_max:
             break
         theta = theta - alpha * g

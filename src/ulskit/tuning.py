@@ -100,12 +100,9 @@ def search_spec(methods, folds: int, lo: float, hi: float, size: int) -> CvSpec 
 
 def _fold_stats(d: Dataset, idx: np.ndarray) -> tuple[SufficientStats, float]:
     """Statistics of the rows idx, plus their mean squared response for scoring
-    (inf where it overflows)."""
-    x, y = d.x[idx], d.y[idx]
-    n = len(idx)
-    # SufficientStats names an overflowing X'X or X'y
-    with np.errstate(over="ignore", invalid="ignore"):
-        return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
+    (inf where it overflows; SufficientStats names an overflowing X'X or X'y)."""
+    x, y, n = d.x[idx], d.y[idx], len(idx)
+    return SufficientStats(sigma=x.T @ x / n, m=x.T @ y / n, n=n), float(y @ y) / n
 
 
 def _folds(pb: Problem, k: int, rng: RngStream | None) -> list:
@@ -128,9 +125,8 @@ def _heldout_mse(thetas: np.ndarray, fold: SufficientStats, yy: float) -> np.nda
     equal columns must score bit-equal so that exact ties stay ties. A score
     that overflows is not finite, and :func:`cv_select` takes it as inf.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad = np.einsum("ik,ik->k", thetas, np.einsum("ij,jk->ik", fold.sigma, thetas))
-        return yy - 2.0 * np.einsum("i,ik->k", fold.m, thetas) + quad
+    quad = np.einsum("ik,ik->k", thetas, np.einsum("ij,jk->ik", fold.sigma, thetas))
+    return yy - 2.0 * np.einsum("i,ik->k", fold.m, thetas) + quad
 
 
 def cv_select(
@@ -165,11 +161,12 @@ def cv_select(
     if method == "graddiff":  # infeasible on the whole subsample: inf on every fold
         alive = graddiff_feasible(pb, grid)
     scores = np.empty((spec.folds, len(grid)))
-    for j, (train, held, yy) in enumerate(_folds(pb, spec.folds, rng)):
-        thetas = path(train, grid)
-        alive &= ~np.isnan(thetas).any(axis=0)
-        mse = _heldout_mse(thetas, held, yy)
-        scores[j] = np.where(alive & np.isfinite(mse), mse, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # fold stats named, scores inf
+        for j, (train, held, yy) in enumerate(_folds(pb, spec.folds, rng)):
+            thetas = path(train, grid)
+            alive &= ~np.isnan(thetas).any(axis=0)
+            mse = _heldout_mse(thetas, held, yy)
+            scores[j] = np.where(alive & np.isfinite(mse), mse, math.inf)
     means = scores.mean(axis=0)
 
     best = means.min()

@@ -6,6 +6,7 @@ from scipy.special import expit
 from ulskit import (
     Dataset,
     LOGISTIC,
+    PretrainedModel,
     RngStream,
     SQUARED,
     concat_datasets,
@@ -44,6 +45,22 @@ def linear_instance(
     else:
         sub = subsample(remaining, n_sub, RngStream(seed, 1))
     return model, remaining, forget, sub
+
+
+def near_range_instance():
+    """A valid p = 3 squared-loss model whose coefficients are +-1e307, with
+    20 forget rows of covariates x 10 and a 40-row subsample: sigma_f theta_p
+    lies beyond the double range, so uls overflows where ols does not.
+
+    Returns (model, forget, sub).
+    """
+    rng = RngStream(0, 0)
+    x = rng.standard_normal((60, 3))
+    y = x @ np.ones(3) + rng.standard_normal(60)
+    model = PretrainedModel(np.array([1e307, -1e307, 1e307]), n_total=100,
+                            n_remaining=80, n_forget=20)
+    forget = Dataset(10.0 * x[:20], y[:20], "forget")
+    return model, forget, Dataset(x[20:], y[20:], "subsample")
 
 
 def logistic_instance(seed, n_r=1800, n_f=200, p=6, shift=1.0):

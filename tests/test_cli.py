@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ulskit
-from helpers import linear_instance, logistic_instance
+from helpers import linear_instance, logistic_instance, near_range_instance
 from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv, save_model
 from ulskit.cli import main
 from ulskit.simulation import SimConfig
@@ -1172,6 +1172,35 @@ def test_huge_lambda_certificate_is_strict_json(tmp_path, method):
         result = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert result["lambda_used"] == float(lam)
         assert 0.0 <= result["grad_residual"] < float("inf")
+
+
+@pytest.mark.parametrize("command", [
+    ["unlearn", "--method", "uls"],
+    ["unlearn", "--method", "uls+"],
+    ["unlearn", "--method", "gd"],
+    ["infer", "--method", "uls", "--coord", "1"],
+], ids=lambda c: "-".join(c[:3]))
+def test_near_range_model_prints_only_the_named_error(tmp_path, command):
+    # coefficients of +-1e307 overflow uls's solve and GD's first gradient;
+    # under -W error a numpy warning would end the run with a traceback
+    model, forget, sub = near_range_instance()
+    save_model(model, tmp_path / "model.json")
+    save_csv(forget, tmp_path / "forget.csv")
+    save_csv(sub, tmp_path / "sub.csv")
+    src = str(Path(ulskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "r.json"
+    proc = subprocess.run([
+        sys.executable, "-W", "error", "-m", "ulskit.cli", *command,
+        "--model", str(tmp_path / "model.json"), "--forget", str(tmp_path / "forget.csv"),
+        "--sub", str(tmp_path / "sub.csv"), "--out", str(out),
+    ], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ValueError: ")
+    assert "overflows" in lines[0]
+    assert not out.exists()
 
 
 _COUNTS_MODEL = ('{"theta": [2.0], "n_total": 10, "n_remaining": 9, "n_forget": 1,'

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
-from helpers import linear_instance, logistic_instance
+from helpers import linear_instance, logistic_instance, near_range_instance
 from ulskit import (
     Dataset,
     Diverged,
@@ -13,6 +14,7 @@ from ulskit import (
     IndefiniteObjective,
     LOGISTIC,
     NotConverged,
+    PretrainedModel,
     RngStream,
     SQUARED,
     SingularGram,
@@ -219,6 +221,28 @@ def test_certificate_norm_survives_overflowing_squares():
         for grad in ([1.0, np.inf], [np.nan, 1.0], [1.5e308, 1.5e308]):
             with pytest.raises(ValueError, match="certificate overflows"):
                 _result("tl", np.zeros(2), np.array(grad), 1.0)
+
+
+def test_closed_form_certificate_overflow_names_no_lam():
+    # theta_p = 1e308 and sigma_f = 1.5 with omega_f / omega_r = 1/4: the fit,
+    # theta_p (1 + 1.5 / 4), is finite, but sigma_f theta in its certificate
+    # is not; uls takes no lam, so its message names none
+    model = PretrainedModel(np.full(1, 1e308), n_total=100, n_remaining=80, n_forget=20)
+    forget = Dataset(np.full((20, 1), math.sqrt(1.5)), np.zeros(20), "forget")
+    sub = Dataset(np.ones((40, 1)), np.zeros(40), "subsample")
+    with pytest.raises(ValueError) as exc:
+        uls(model, forget, sub)
+    assert str(exc.value) == "the fit's gradient certificate overflows"
+
+
+def test_gd_stops_at_an_overflowing_gradient():
+    # grad(theta_p; forget) overflows at the start: a named error at once,
+    # not t_max iterations of NaN ending in NotConverged
+    model, forget, sub = near_range_instance()
+    seen = []
+    with pytest.raises(ValueError, match="GD objective.s gradient overflows"):
+        gd_unlearn(model, forget, sub, callback=lambda t, theta: seen.append(t))
+    assert seen == []
 
 
 def test_transfer_ridge_limits():

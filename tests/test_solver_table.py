@@ -7,19 +7,23 @@ The counts are taken by replacing `cholesky`, `compute_stats` and tuning's
 """
 
 import sys
+import warnings
+from contextlib import suppress
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import linear_instance
+from helpers import linear_instance, near_range_instance
 from ulskit import (
     Dataset,
     RngStream,
     SingularGram,
+    UlsError,
     ci_uls,
     cv_select,
     data_model,
+    estimators,
     numerics,
     prepare,
     save_csv,
@@ -224,3 +228,36 @@ def test_bench_forms_each_gram_once(calls, tmp_path):
     assert sorted((d.role, d.n) for d in seen) == [
         ("forget", 40), ("remaining", 400), ("subsample", 120),
     ]
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_near_range_fit_is_a_named_error_or_a_fit(method):
+    # coefficients of +-1e307 overflow uls's solve and GD's first gradient;
+    # every fit and path leaves by a named error or a result, never a warning
+    model, forget, sub = near_range_instance()
+    solver = SOLVERS[method]
+    calls = [lambda pb: solver.fit(pb, 1e3)]
+    if solver.tuned:
+        calls.append(lambda pb: solver.path(pb, np.array([1.0, 1e3])))
+    for call in calls:
+        with warnings.catch_warnings(), suppress(ValueError, UlsError):
+            warnings.simplefilter("error")
+            call(prepare(model, forget, sub))
+
+
+def test_uls_plus_path_computes_no_certificate(monkeypatch):
+    # the path mixes the bare uls and ols coefficients; only a fit is certified
+    count = Counter()
+    grad = estimators._uls_grad
+
+    def counted(*args):
+        count["_uls_grad"] += 1
+        return grad(*args)
+
+    monkeypatch.setattr(estimators, "_uls_grad", counted)
+    model, _, forget, sub = linear_instance(3)
+    pb = prepare(model, forget, sub)
+    SOLVERS["uls+"].path(pb, np.array([0.5, 2.0]))
+    assert count["_uls_grad"] == 0
+    SOLVERS["uls+"].fit(pb, 0.5)
+    assert count["_uls_grad"] == 1

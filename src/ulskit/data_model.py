@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,11 +301,157 @@ def _scan_cells(reader, p: int, path) -> np.ndarray:
 
 
 def save_csv(d: Dataset, path) -> None:
-    """Write a dataset as y,x1,...,xp with 17-significant-digit literals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        header = "y," + ",".join(f"x{j}" for j in range(1, d.p + 1))
-        fh.write(header + "\n")
-        np.savetxt(fh, np.column_stack([d.y, d.x]), fmt="%.17g", delimiter=",")
+    """Write a dataset as y,x1,...,xp, every cell exactly as C's ``%.17g``.
+
+    Seventeen significant digits read back as the same double, for every
+    finite one. The file holds the header line and then the bytes of
+    ``np.savetxt(fh, np.column_stack([d.y, d.x]), fmt="%.17g",
+    delimiter=",")``, formatted with numpy alone in blocks of at most 256
+    rows (``_write_g17``).
+
+    A cell x with 1e-290 <= |x| <= 1e290 and decimal exponent E is written
+    from its 17 digits N = round(t), t = |x| 10^k, k = 16 - E, 10^16 <= t <
+    10^17. With u = 2^-53, ph = RN(10^k) and pl = RN(10^k - ph) (from Python
+    integers), 10^k = ph + pl + eta with |pl| <= u ph and |eta| <= u^2 ph.
+    Dekker's product splits |x| ph = p + e exactly with |e| <= u p, as the
+    range keeps every partial product normal and finite; where t >= 10^16,
+    p > 2^53 is a whole number. |x| eta is at most u^2 |x| ph, q = RN(|x|
+    pl) errs by at most u |x pl| <= u^2 |x| ph, and s = RN(e + q) by at most
+    u |e + q| <= 2 u^2 (1 + u) |x| ph. So the computed t' = p + s obeys
+    |t - t'| <= (4 + 2u) u^2 |x| ph <= 4.94e-15 for t < 10^17 + 1, within
+    the bound B = 5.1e-15. p + floor(s) and s - floor(s) split t' exactly
+    into its whole part and its fraction. E starts at floor(log10 |x|) and
+    moves by one until 10^16 <= t' and round(t') <= 10^17, at most three
+    times; round(t') = 10^17 is a carry, written as 10^16 with exponent
+    E + 1.
+
+    The computed N stands only where t''s fraction is farther than the
+    margin 10 B = 5.1e-14 from 1/2, so that no error within B can move
+    round(t). Every other non-zero cell (a near tie, an exponent not settled
+    in three steps, |x| outside [1e-290, 1e290], subnormals included) is
+    formatted by Python's own ``'%.17g' % x``.
+    """
+    header = "y," + ",".join(f"x{j}" for j in range(1, d.p + 1))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        _write_g17(fh, d.y, d.x)
+
+
+def _write_g17(fh, y: np.ndarray, x: np.ndarray) -> None:
+    """Write the rows (y_i, x_i) to the binary file ``fh`` as save_csv does.
+
+    A cell's text is laid out in six 8-byte words: the sign, "0." and up to
+    three zeros (exponents -4 to -1), the first digit, the other 16 digits
+    each followed by a place for the point, "e" with the exponent's sign and
+    digits, and the separator. A place the cell leaves empty holds a NUL
+    byte, and the NULs are dropped as the block is written.
+    """
+    c = x.shape[1] + 1
+    rows = max(1, min(256, 4096 // c))
+    vals = np.empty((rows, c))
+    words = np.zeros((rows * c, 6), np.uint64)
+    text = words.view(np.uint8)
+    sep = np.zeros((rows, c, 8), np.uint8)
+    sep[..., 5] = 44  # ','
+    sep[:, -1, 5] = 10  # '\n'
+    sep = sep.view(np.uint64).ravel()
+    # tables of words: four digits (a group) spaced by NULs, with the
+    # group's trailing zeros; masks that keep the digits a cell shows, by
+    # their count; the head by sign, leading zeros and first digit; the
+    # exponent's word, empty for fixed notation
+    i = np.arange(100)
+    pair = np.zeros((100, 4), np.uint8)
+    pair[:, ::2] = np.frombuffer(b"%02d" * 100 % tuple(range(100)), np.uint8).reshape(100, 2)
+    pair = pair.view(np.uint32)
+    quad = np.empty((100, 100, 2), np.uint32)
+    quad[..., 0], quad[..., 1] = pair, pair.T
+    quad = quad.view(np.uint64).ravel()
+    pair_tz = np.array([2] + [int(k % 10 == 0) for k in range(1, 100)])
+    quad_tz = np.where(i == 0, pair_tz[:, None] + 2, pair_tz).ravel()
+    keep = b"".join(b"\xff\xff" * k + b"\0\0" * (4 - k) for k in range(5))
+    keep = np.frombuffer(keep, np.uint64)[
+        np.minimum(np.maximum(i[:18, None] - 4 * i[:4] - 1, 0), 4)]
+    head = np.zeros((2, 5, 10, 8), np.uint8)
+    head[1, ..., 0] = 45  # '-'
+    for zeros in range(1, 5):
+        head[:, zeros, :, 1:zeros + 2] = np.frombuffer(b"0.000"[:zeros + 1], np.uint8)
+    head[..., 6] = 48 + i[:10]
+    head = head.view(np.uint64).ravel()
+    mag = abs(np.arange(-330, 331))
+    exp = np.zeros((661, 8), np.uint8)
+    exp[:, 0], exp[:330, 1], exp[330:, 1] = 101, 45, 43  # "e-", "e+"
+    exp[:, 2] = np.where(mag >= 100, 48 + mag // 100, 0)
+    exp[:, 3], exp[:, 4] = 48 + mag // 10 % 10, 48 + mag % 10
+    exp[326:347] = 0  # exponents -4 to 16
+    exp = exp.view(np.uint64).ravel()
+    # 10^k for k = j - 276 as (ph, pl, ph's 26-bit halves), filled on demand
+    pow10 = np.zeros((4, 585))
+    filled = np.zeros(585, bool)
+
+    for start in range(0, len(y), rows):
+        r = min(rows, len(y) - start)
+        m = r * c
+        vals[:r, 0] = y[start:start + r]
+        vals[:r, 1:] = x[start:start + r]
+        v = vals[:r].ravel()
+        a = np.abs(v)
+        fast = (a >= 1e-290) & (a <= 1e290)
+        a[~fast] = 1.0
+        e10 = np.floor(np.log10(a)).astype(np.intp)
+        for _ in range(3):  # log10 may miss the exponent by one
+            j = 292 - e10
+            lo = j.min()
+            for k in ((~filled[lo:j.max() + 1]).nonzero()[0] + lo - 276).tolist():
+                num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+                ph = num / den  # an int quotient is correctly rounded
+                top, bot = ph.as_integer_ratio()
+                mant, bits = math.frexp(ph)
+                mant = int(mant * 2.0**53)
+                high = (mant + 2**26) >> 27 << 27  # the top 26 bits, rounded
+                pow10[:, k + 276] = (ph, (num * bot - top * den) / (den * bot),
+                                     math.ldexp(high, bits - 53),
+                                     math.ldexp(mant - high, bits - 53))
+                filled[k + 276] = True
+            ph, pl, ph1, ph2 = np.take(pow10, j, axis=1)
+            big = a * 134217729.0  # Veltkamp's split by 2^27 + 1
+            a1 = big - (big - a)
+            a2 = a - a1
+            p = a * ph
+            s = (((a1 * ph1 - p) + a1 * ph2 + a2 * ph1) + a2 * ph2) + a * pl
+            whole = np.floor(s)
+            frac = s - whole
+            whole = p.astype(np.int64) + whole.astype(np.int64)
+            n17 = whole + (frac > 0.5)
+            # 10^16 <= t < 10^17 + 1/2, or the exponent moves
+            shift = (n17 > 10**17).astype(np.intp) - (whole < 10**16)
+            if not shift.any():
+                break
+            e10 += shift
+        fast &= (shift == 0) & (np.abs(frac - 0.5) > 5.1e-14)
+        carry = n17 == 10**17
+        n17 = np.where(fast, n17 - carry * (9 * 10**16), 0)
+        e10 = np.where(fast, e10 + carry, 0)
+
+        fixed = (e10 >= -4) & (e10 <= 16)
+        point = np.where(fixed, np.maximum(e10 + 1, 0), 1)  # digits before it
+        tz = 0
+        for w, g in enumerate((n17 // 10**12 % 10**4, n17 // 10**8 % 10**4,
+                               n17 // 10**4 % 10**4, n17 % 10**4)):
+            words[:m, w + 1] = quad[g]
+            tz = np.where(g == 0, tz + 4, quad_tz[g])
+        shown = np.maximum(17 - tz, point)
+        words[:m, 1:5] &= keep[shown]
+        zeros = np.where(fixed & (e10 < 0), -e10, 0)
+        words[:m, 0] = head[(np.signbit(v) * 5 + zeros) * 10 + n17 // 10**16]
+        words[:m, 5] = exp[e10 + 330] | sep[:m]
+        # the point follows digit number `point`, at byte 5 + 2 point of 48
+        dot = ((shown > point) & (point > 0)).nonzero()[0]
+        text.reshape(-1)[dot * 48 + 5 + 2 * point[dot]] = 46
+        for cell in (~fast & (v != 0)).nonzero()[0]:
+            literal = ("%.17g" % v[cell]).encode("ascii")
+            words[cell, :5] = 0
+            text[cell, :len(literal)] = np.frombuffer(literal, np.uint8)
+        fh.write(text[:m].tobytes().translate(None, b"\0"))
 
 
 def _cell(value) -> str:

@@ -1,8 +1,11 @@
 import csv
+import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import rows_as_multiset
@@ -181,6 +184,108 @@ def test_csv_header_only_roundtrip(tmp_path):
     save_csv(Dataset(np.empty((0, 3)), np.empty(0), "forget"), path)
     assert path.read_text() == "y,x1,x2,x3\n"
     assert load_csv(path, role="forget").n == 0
+
+
+def assert_written_as_savetxt(tmp_path, table, role="remaining"):
+    """save_csv's bytes are the header plus np.savetxt's %.17g rows."""
+    table = np.asarray(table, dtype=np.float64)
+    d = Dataset(table[:, 1:], table[:, 0], role)
+    save_csv(d, tmp_path / "written.csv")
+    with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("y," + ",".join(f"x{j}" for j in range(1, d.p + 1)) + "\n")
+        np.savetxt(fh, np.column_stack([d.y, d.x]), fmt="%.17g", delimiter=",")
+    written = (tmp_path / "written.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+TINIEST_NORMAL = 2.2250738585072014e-308
+# 10^k and its two neighbours for k in [-30, 30], so -4 and 17 too, where
+# %g switches between fixed and exponent notation
+NEAR_POWERS = [np.nextafter(v, t) for v in map(float, (f"1e{k}" for k in range(-30, 31)))
+               for t in (0.0, v, np.inf)]
+PINNED = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, TINIEST_NORMAL, -TINIEST_NORMAL,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300,
+    np.nextafter(1e-290, 0.0), 1e-290, np.nextafter(1e290, np.inf), 1e290,
+    9.9999999999999991e-05, 9.9999999999999995e-05, 0.0001, 0.00010000000000000001,
+    99999999999999984.0, 99999999999999999.0, 1e17, 100000000000000016.0,
+    2.0**53, 2.0**53 + 2, 2.0**60 + 2**8, -(2.0**62 + 2**10), 2.0**63, 2.0**64,
+    123456789012345678.0, 1e20 + 2**14, 1e22, 1e23, -987654321987654321.0,
+    # exact ties at the 17th digit, which %g rounds to even: down, then up
+    1000000000000000.25, 1000000000000000.75,
+    0.1, -2.5, 1.0, 100.0, 12000.0, 1234.5, 0.30000000000000004,
+    *NEAR_POWERS,
+]
+
+
+def test_pinned_values_reach_every_fallback():
+    # save_csv formats these with Python's '%.17g': subnormals, normal
+    # magnitudes outside [1e-290, 1e290], and a tie at the 17th digit
+    magnitudes = np.abs(PINNED)
+    assert np.any((magnitudes > 0) & (magnitudes < TINIEST_NORMAL))
+    assert np.any(magnitudes > 1e290)
+    assert np.any((magnitudes >= TINIEST_NORMAL) & (magnitudes < 1e-290))
+    assert Decimal(1000000000000000.25) == Decimal("1000000000000000.25")
+    assert Decimal(1000000000000000.75) == Decimal("1000000000000000.75")
+
+
+@pytest.mark.parametrize("p", [1, 3, 6])
+def test_save_csv_writes_pinned_values_as_savetxt(tmp_path, p):
+    cells = np.resize(np.array(PINNED), (-(-len(PINNED) // (p + 1)), p + 1))
+    assert_written_as_savetxt(tmp_path, cells)
+    assert_written_as_savetxt(tmp_path, cells[::-1].T.reshape(-1, p + 1))
+
+
+@pytest.mark.parametrize("shape,scales", [
+    ((1, 2), [1.0, 1.0]),
+    ((1, 6), [1e300, 1e-300, 1e-6, 1e6, 1e-4, 1e4]),
+    ((40, 2), [1.0, 1e-300]),
+    ((700, 4), [1.0, 1e4, 1e-4, 1e300]),  # blocks of at most 256 rows
+    ((3, 9001), 1.0),  # wider than a block: one row a block
+    ((300, 5), [1e-300, 1e300, 1e-290, 1e290, 1e-310]),
+])
+def test_save_csv_writes_scaled_gaussians_as_savetxt(tmp_path, shape, scales):
+    rng = np.random.default_rng(shape[0])
+    assert_written_as_savetxt(tmp_path, rng.standard_normal(shape) * scales)
+
+
+def test_save_csv_writes_integers_as_savetxt(tmp_path):
+    rng = np.random.default_rng(5)
+    big = rng.integers(-(2**62), 2**62, (200, 4)).astype(np.float64)
+    small = rng.integers(-9999, 10_000, (200, 4)).astype(np.float64)
+    assert_written_as_savetxt(tmp_path, np.vstack([big, small]))
+
+
+def test_save_csv_writes_a_header_only_forget_set_as_savetxt(tmp_path):
+    assert_written_as_savetxt(tmp_path, np.empty((0, 4)), role="forget")
+
+
+FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+CELLS = st.one_of(
+    FINITE_BITS.map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 6).flatmap(
+    lambda c: st.lists(st.lists(CELLS, min_size=c, max_size=c), min_size=1, max_size=30)))
+def test_save_csv_writes_any_finite_doubles_as_savetxt(tmp_path, rows):
+    assert_written_as_savetxt(tmp_path, rows)
+
+
+def test_save_csv_peak_memory_stays_below_4mb(tmp_path):
+    # numpy backs an allocation of 4 MiB or more with huge pages
+    rng = np.random.default_rng(3)
+    d = Dataset(rng.standard_normal((20_000, 50)), rng.standard_normal(20_000))
+    tracemalloc.start()
+    try:
+        save_csv(d, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_csv_header_mismatch(tmp_path):

@@ -8,10 +8,13 @@
 #
 # It runs three simulations and, on three seeded instances, pretrain, unlearn
 # with every method (the tuned ones by CV, with their CV table, and at five
-# fixed lambdas), an 8-method bench and infer. The instances are written by
-# TREE's own save_csv. Commands run inside OUT with relative paths, so their
-# messages name no directory. Each command NAME leaves its output files,
-# NAME.stdout, and NAME.stderr ending in a line "exit CODE".
+# fixed lambdas), an 8-method bench and infer. The instances, and the table
+# wild.csv of cells far from the instances' (exponents of 2 and 3 digits,
+# subnormals and signed zeros, integers from 2^53, neighbours of powers of
+# ten), are written by TREE's own save_csv. Commands run inside OUT with
+# relative paths, so their messages name no directory. Each command NAME
+# leaves its output files, NAME.stdout, and NAME.stderr ending in a line
+# "exit CODE".
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -69,6 +72,23 @@ for name, n, n_f, n_sub, n_test, seed, scale in INSTANCES:
                              ("sub", slice(0, n_sub), "subsample")]:
         save_csv(Dataset(x[rows], y[rows], role), f"{name}/{part}.csv")
     save_csv(Dataset(x_t, y_t, "test"), f"{name}/test.csv")
+
+rng = np.random.default_rng(4)
+n = 300
+subnormal = rng.integers(0, 2**52, n) * 5e-324
+subnormal[::10] = 0.0
+tens = np.array([float(f"1e{k}") for k in rng.integers(-30, 31, n)])
+wild = np.column_stack([
+    rng.standard_normal(n) * 1e-7,
+    rng.standard_normal(n) * 1e20,
+    rng.standard_normal(n) * 1e-150,
+    rng.standard_normal(n) * 1e200,
+    subnormal * rng.choice([-1.0, 1.0], n),
+    rng.integers(2**53, 2**62, n) * rng.choice([-1.0, 1.0], n),
+    np.nextafter(tens, np.where(rng.random(n) < 0.5, 0.0, np.inf)),
+    tens,
+])
+save_csv(Dataset(wild[:, 1:], wild[:, 0], "remaining"), "wild.csv")
 PY
 
 for inst in gauss50 blocks12 blocks6; do

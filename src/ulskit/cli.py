@@ -151,7 +151,7 @@ def _cmd_infer(args) -> int:
             )
 
     pb = prepare(model, forget, sub)
-    report = INTERVALS[args.method](pb, SOLVERS[args.method].fit(pb).theta, v, args.alpha)
+    report = INTERVALS[args.method](pb, SOLVERS[args.method].theta(pb), v, args.alpha)
 
     save_json(report.to_json_dict(), args.out)
     print(

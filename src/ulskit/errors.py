@@ -61,8 +61,8 @@ class NoFeasibleLambda(UlsError):
 class HeldOutOverflow(UlsError, ValueError):
     """Cross-validation's held-out error overflows at every feasible weight.
 
-    A ValueError too: ``unlearn`` reports it as bad input (exit 2), while
-    ``simulate`` and ``bench`` count it as that method's failure."""
+    A ValueError too, which matters only to ``unlearn``'s exit code (2, as on
+    bad input); ``simulate`` and ``bench`` count it as the method's failure."""
 
 
 class DegenerateDirection(UlsError):

@@ -15,8 +15,8 @@ omega_f = Nf/N and omega_r = 1 - omega_f (its properties ``omega_f`` and
 where sigma_mix = omega_r sigma_sub + omega_f sigma_f. The first line is the
 bias-corrected least squares update theta_p + (omega_f/omega_r)
 sigma_sub^{-1} (sigma_f theta_p - m_f); the others are its robustified,
-ascent/descent, and ridge-anchored counterparts. Each fit reports the norm of
-its own objective gradient at the solution as a stationarity certificate.
+ascent/descent, and ridge-anchored counterparts. A reported fit is certified
+by its objective gradient's norm at the solution; bare coefficients are not.
 
 :func:`prepare` forms these statistics once into a :class:`Problem`, and the
 :data:`SOLVERS` table maps each method name to its solver on a problem. The
@@ -38,9 +38,9 @@ backward error, and solve by Cholesky a column that refinement cannot bring
 to rounding, or (ridge) whose shifted spectrum is too wide to tell a singular
 system (:func:`_pencil_path`). GradDiff's objective is bounded below iff
 lam > mu_max; :func:`graddiff_feasible` decides, by lam - mu_max >
-PIVOT_FLOOR * lam. Every tuned fit is its path's column at one lam, where a
-NaN column is an :class:`IndefiniteObjective`. The table runs every fit and
-path with overflow warnings off, and names each overflow with a ValueError.
+PIVOT_FLOOR * lam. A tuned method's coefficients are its path's column at one
+lam, where a NaN column is an :class:`IndefiniteObjective`. The table runs
+every entry with overflow warnings off, and names each overflow a ValueError.
 """
 
 from __future__ import annotations
@@ -396,15 +396,17 @@ def _gd(pb: Problem, lam=None) -> EstimateResult:
 
 
 class Solver(NamedTuple):
-    """``fit(problem, lam)`` gives a method's guarded fit and its certificate.
+    """``theta(problem, lam)`` gives a method's guarded coefficients, and
+    ``fit(problem, lam)`` the same ones with their certificate.
 
-    A ``tuned`` method takes a lambda picked by cross-validation; the others
-    ignore ``lam``. A tuned method also has ``path(problem, lams)``: the p x L
-    matrix whose columns are the coefficients of ``fit`` at the L ``lams``.
-    A NaN column marks a lam at which the objective is unbounded below, where
-    ``fit`` raises :class:`IndefiniteObjective`.
+    A ``tuned`` method takes a lambda from the CV, plug-in or oracle rules, or
+    ``--lam``; the others ignore ``lam``. A tuned method also has
+    ``path(problem, lams)``: the p x L matrix whose columns are ``theta`` at
+    the L ``lams``. A NaN column marks a lam at which the objective is
+    unbounded below, where ``theta`` and ``fit`` raise IndefiniteObjective.
     """
 
+    theta: Callable[[Problem, float | None], np.ndarray]
     fit: Callable[[Problem, float | None], EstimateResult]
     path: Callable[[Problem, np.ndarray], np.ndarray] | None = None
 
@@ -414,24 +416,29 @@ class Solver(NamedTuple):
 
 
 def _solver(method: str, grad, coef=None, path=None) -> Solver:
-    """The entry of ``method``: its fit is ``coef(problem)``, or a tuned
-    method's path column at lam, certified by ``grad(problem, theta, lam)``.
-    Each callable has its own errstate, as one is not reentrant on numpy 1.x."""
+    """The entry of ``method``: ``theta`` is ``coef(problem)``, or a tuned
+    method's path column at a finite lam (CV, plug-in, oracle or ``--lam``),
+    and ``fit`` certifies it by ``grad(problem, theta, lam)``. Each callable
+    has its own errstate, as one is not reentrant on numpy 1.x."""
+
+    def theta(pb: Problem, lam=None) -> np.ndarray:
+        if path is None:
+            return coef(pb)
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
+        coefs = path(pb, np.array([lam], dtype=np.float64))[:, 0]
+        if np.isnan(coefs).any():
+            raise IndefiniteObjective(f"lam={lam:g}: the objective is not"
+                                      " numerically strictly convex")
+        return coefs
 
     def fit(pb: Problem, lam=None) -> EstimateResult:
-        if path is None:
-            theta, lam = coef(pb), None
-        elif not math.isfinite(lam):
-            raise ValueError(f"lam must be finite, got {lam}")
-        else:
-            theta = path(pb, np.array([lam], dtype=np.float64))[:, 0]
-            if np.isnan(theta).any():
-                raise IndefiniteObjective(f"lam={lam:g}: the objective is not"
-                                          " numerically strictly convex")
-        return _result(method, theta, grad(pb, theta, lam), lam)
+        lam = None if path is None else lam
+        coefs = theta(pb, lam)
+        return _result(method, coefs, grad(pb, coefs, lam), lam)
 
     quiet = dict(over="ignore", invalid="ignore")  # finite_solution, _result name it
-    return Solver(np.errstate(**quiet)(fit), path and np.errstate(**quiet)(path))
+    return Solver(*(f and np.errstate(**quiet)(f) for f in (theta, fit, path)))
 
 
 SOLVERS = {
@@ -440,7 +447,7 @@ SOLVERS = {
     "uls+": _solver("uls+", _uls_plus_grad, path=_uls_plus_path),
     "graddiff": _solver("graddiff", _graddiff_grad, path=_graddiff_path),
     "tl": _solver("tl", _transfer_ridge_grad, path=_transfer_ridge_path),
-    "gd": Solver(_gd),
+    "gd": Solver(lambda pb, lam=None: _gd(pb).theta, _gd),
 }
 
 
@@ -585,7 +592,7 @@ def pretrain(
     if not 0 <= n_forget < full.n:
         raise ValueError(f"n_forget={n_forget} must lie in [0, n={full.n})")
     if loss == SQUARED:
-        theta = ols_fit(full).theta
+        theta = SOLVERS["ols"].theta(prepare(None, None, full))
     else:
         theta = _fit_logistic(full, t_max)
     return PretrainedModel(

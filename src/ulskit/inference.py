@@ -229,10 +229,10 @@ def ci_uls(
     point estimate.
     """
     pb = prepare(model, forget, sub)
-    return uls_interval(pb, SOLVERS["uls"].fit(pb).theta, v, alpha)
+    return uls_interval(pb, SOLVERS["uls"].theta(pb), v, alpha)
 
 
 def ci_ols(sub: Dataset, v, alpha: float = 0.05) -> InferenceReport:
     """Classical OLS interval for v'theta from the subsample alone."""
     pb = prepare(None, None, sub)
-    return ols_interval(pb, SOLVERS["ols"].fit(pb).theta, v, alpha)
+    return ols_interval(pb, SOLVERS["ols"].theta(pb), v, alpha)

@@ -255,8 +255,8 @@ def run_method(name: str, pb: Problem, st_r, spec, cv_rng, oracle, score,
     the CV search, is None, else from ``cv_select`` on ``cv_rng``'s folds.
     With ``interval = (v, truth, alpha)``, a method of :data:`INTERVALS` also
     records its sd and whether its interval for v'theta covers ``truth``. A
-    ``UlsError`` is kept as ``failure``: a failed fit blanks every cell, a
-    failed interval only its own."""
+    ``UlsError`` or ``ValueError`` of the search, fit or interval is kept as
+    ``failure``: a failed fit blanks every cell, a failed interval its own."""
     start = time.perf_counter()
     error = covered = sd_hat = failure = None
     try:
@@ -265,7 +265,7 @@ def run_method(name: str, pb: Problem, st_r, spec, cv_rng, oracle, score,
             lam = None
             if solver.tuned:
                 lam = oracle[name] if spec is None else cv_select(name, pb, spec, cv_rng)[0]
-            theta = solver.fit(pb, lam).theta
+            theta = solver.theta(pb, lam)
         else:
             theta = ols_theta(st_r) if name == "retrain" else pb.theta_p
         error = score(theta)
@@ -274,7 +274,7 @@ def run_method(name: str, pb: Problem, st_r, spec, cv_rng, oracle, score,
             report = INTERVALS[name](pb, theta, v, alpha)
             covered = report.ci_lo <= truth <= report.ci_hi
             sd_hat = float(np.sqrt(report.variance))
-    except UlsError as exc:
+    except (UlsError, ValueError) as exc:
         failure = (type(exc).__name__, str(exc))
     millis = (time.perf_counter() - start) * 1e3
     return RepRecord(rep, name, error, covered, sd_hat, millis, failure)

@@ -53,7 +53,7 @@ def plugin_lambda(pb: Problem) -> float:
     """
     if pb.st_f.n == 0:
         return 0.0
-    theta_sub = SOLVERS["ols"].fit(pb).theta  # reuses the subsample factor
+    theta_sub = SOLVERS["ols"].theta(pb)  # reuses the subsample factor
     delta_hat = safe_norm(theta_sub - ols_theta(pb.st_f))
     return pb.model.omega_r * pb.model.omega_f * delta_hat
 

@@ -12,9 +12,21 @@ from numpy.testing import assert_allclose
 
 import ulskit
 from helpers import linear_instance, logistic_instance, near_range_instance
-from ulskit import Dataset, RngStream, load_model, ols_fit, save_csv, save_model
+from ulskit import (
+    Dataset,
+    PretrainedModel,
+    RngStream,
+    load_csv,
+    load_model,
+    ols_fit,
+    prepare,
+    save_csv,
+    save_model,
+)
 from ulskit.cli import main
-from ulskit.simulation import SimConfig
+from ulskit.numerics import safe_norm
+from ulskit.simulation import SimConfig, run_method
+from ulskit.tuning import CvSpec
 
 Z_975 = 1.9599639845400545
 
@@ -264,6 +276,26 @@ def test_infer_overflowing_variance_exit_code(tmp_path, capsys):
     ])
     assert code == 3
     assert "SingularGram" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_reads_the_fit_and_fails_only_on_its_interval(tmp_path, capsys):
+    # theta_p = 1e308 and sigma_f = 1.5 with omega_f / omega_r = 1/4: the uls
+    # fit, theta_p (1 + 1.5 / 4), is finite and its certificate is not, but
+    # infer certifies nothing; its own noise terms square past the double range
+    paths = {"model": tmp_path / "model.json", "forget": tmp_path / "forget.csv",
+             "sub": tmp_path / "sub.csv"}
+    save_model(PretrainedModel(np.full(1, 1e308), n_total=100, n_remaining=80,
+                               n_forget=20), paths["model"])
+    _write_csv(paths["forget"], np.full((20, 1), math.sqrt(1.5)), np.zeros(20))
+    _write_csv(paths["sub"], np.ones((40, 1)), np.zeros(40))
+    out = tmp_path / "r.json"
+    code = main([
+        "infer", "--model", str(paths["model"]), "--forget", str(paths["forget"]),
+        "--sub", str(paths["sub"]), "--coord", "1", "--out", str(out),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err == "SingularGram: interval variance is not finite (inf)\n"
     assert not out.exists()
 
 
@@ -1053,6 +1085,19 @@ def collinear_example(tmp_path):
     return paths, tmp_path
 
 
+@pytest.mark.parametrize("method", ["uls+", "graddiff"])
+def test_run_method_counts_a_cv_fold_overflow_as_the_methods_failure(collinear_example,
+                                                                     method):
+    # a fold's overflowing solve is a ValueError, kept as a UlsError is
+    paths, _ = collinear_example
+    model = load_model(paths["model"])
+    pb = prepare(model, load_csv(paths["forget"], role="forget", expected_p=model.p),
+                 load_csv(paths["sub"], role="subsample", expected_p=model.p))
+    record = run_method(method, pb, None, CvSpec(), RngStream(0, 2), None, safe_norm)
+    assert record.error is None
+    assert record.failure[0] == "ValueError", record.failure
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_solve_exit_code(collinear_example, capsys):
     # uls+ mixes in the subsample's OLS fit, whose solve overflows, not its moments
@@ -1355,12 +1400,13 @@ def test_malformed_csv_exit_code(p3_example, role, case, capsys):
     assert not out.exists()
 
 
-def _uls_process(*args):
-    """``uls args`` in a separate process, so stderr holds whatever numpy prints."""
+def _uls_process(*args, flags=()):
+    """``uls args`` in a separate process, so stderr holds whatever numpy
+    prints; ``flags`` go to the interpreter."""
     src = str(Path(ulskit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ulskit.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *flags, "-m", "ulskit.cli", *map(str, args)],
                           env=env, capture_output=True, text=True)
 
 
@@ -1489,6 +1535,21 @@ def test_simulate_counts_a_cv_overflow_as_the_methods_failure(tmp_path):
     assert (aggs["retrain"]["n_ok"], aggs["retrain"]["n_failed"]) == (2, 0)
     for method in ("uls+", "tl", "graddiff"):
         assert (aggs[method]["n_ok"], aggs[method]["n_failed"]) == (0, 2)
+
+
+def test_simulate_counts_every_failure_of_a_method_as_its_own(tmp_path):
+    # at delta = 1e307 GD's first gradient overflows, a ValueError: gd fails
+    # both replications and every other method's results stand
+    records, summary = tmp_path / "records.csv", tmp_path / "summary.json"
+    methods = ("retrain", "pretrain", "ols", "uls", "uls+", "tl", "graddiff", "gd")
+    proc = _uls_process("simulate", "--nr", 200, "--nf", 20, "--p", 3, "--reps", 2,
+                        "--delta", "1e307", "--methods", ",".join(methods),
+                        "--oracle-lambda", "--threads", 1,
+                        "--records", records, "--summary", summary, flags=("-W", "error"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    aggs = json.loads(summary.read_text(), parse_constant=_reject_constant)["methods"]
+    counts = {m: (agg["n_ok"], agg["n_failed"]) for m, agg in aggs.items()}
+    assert counts == {m: (0, 2) if m == "gd" else (2, 0) for m in methods}
 
 
 def test_bench_counts_a_cv_overflow_as_the_methods_failure(huge_responses):

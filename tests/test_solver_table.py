@@ -20,12 +20,14 @@ from ulskit import (
     RngStream,
     SingularGram,
     UlsError,
+    ci_ols,
     ci_uls,
     cv_select,
     data_model,
     estimators,
     numerics,
     prepare,
+    pretrain,
     save_csv,
     save_model,
     transfer_ridge,
@@ -261,3 +263,62 @@ def test_uls_plus_path_computes_no_certificate(monkeypatch):
     assert count["_uls_grad"] == 0
     SOLVERS["uls+"].fit(pb, 0.5)
     assert count["_uls_grad"] == 1
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Counter of the fits certified, as calls of ``estimators._result``."""
+    count = Counter()
+    result = estimators._result
+
+    def counted(*args):
+        count["_result"] += 1
+        return result(*args)
+
+    monkeypatch.setattr(estimators, "_result", counted)
+    return count
+
+
+def _instance_files(tmp_path, model, forget, sub):
+    paths = {"model": tmp_path / "model.json", "forget": tmp_path / "forget.csv",
+             "sub": tmp_path / "sub.csv"}
+    save_model(model, paths["model"])
+    save_csv(forget, paths["forget"])
+    save_csv(sub, paths["sub"])
+    return ["--model", str(paths["model"]), "--forget", str(paths["forget"]),
+            "--sub", str(paths["sub"]), "--out", str(tmp_path / "r.json")]
+
+
+def test_readers_of_bare_coefficients_compute_no_certificate(certificates, tmp_path):
+    # only a reported fit is certified: intervals, the plug-in rule, the
+    # pretrained fit, infer and the simulation read the guarded coefficients
+    model, remaining, forget, sub = linear_instance(3)
+    v = np.ones(model.p)
+    io = _instance_files(tmp_path, model, forget, sub)
+    readers = {
+        "ci_uls": lambda: ci_uls(model, forget, sub, v),
+        "ci_ols": lambda: ci_ols(sub, v),
+        "plugin_lambda": lambda: tuning.plugin_lambda(prepare(model, forget, sub)),
+        "pretrain": lambda: pretrain("squared", remaining),
+        "infer": lambda: main(["infer", *io, "--coord", "1"]),
+        "run_experiment": lambda: run_experiment(
+            SimConfig(n_r=200, n_f=20, p=3, reps=2, methods=tuple(SOLVERS)), 1),
+    }
+    counts, returned = {}, {}
+    for name, read in readers.items():
+        certificates.clear()
+        returned[name] = read()
+        counts[name] = certificates["_result"]
+    assert counts == dict.fromkeys(readers, 0)
+    records, _ = returned["run_experiment"]
+    assert returned["infer"] == 0 and all(r.failure is None for r in records)
+
+
+def test_a_reported_fit_is_certified_once(certificates, tmp_path):
+    model, _, forget, sub = linear_instance(3)
+    certificates.clear()
+    assert uls(model, forget, sub).grad_residual is not None
+    assert certificates["_result"] == 1
+    certificates.clear()
+    assert main(["unlearn", *_instance_files(tmp_path, model, forget, sub)]) == 0
+    assert certificates["_result"] == 1
